@@ -2,8 +2,9 @@
 
 A point is shadowed by a family of balls when every straight line through
 it meets at least one ball.  The package decides that question exactly in
-the plane and in space by reducing it to coverage problems on a circle or
-on the unit sphere, searches for avoiding affine planes in any dimension,
+every dimension from 2 up through one polar reduction (an arc cover for two
+free directions, a convex-hull test for three or more), decides cap coverage
+of the unit sphere, searches for avoiding affine planes in any dimension,
 and ships the reference constructions used by the bundled verification
 suites.
 """

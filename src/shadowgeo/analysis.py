@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .constructions import (
     build_cube14,
@@ -39,11 +38,8 @@ from .sceneio import scene_to_dict
 from .shadow import (
     INDETERMINATE,
     NOT_SHADOWED,
-    POSSIBLY_SHADOWED,
     SHADOWED,
     PlaneFrame,
-    heuristic_shadow,
-    line_clearances,
     point_shadow,
     tangent_shadow,
 )
@@ -185,9 +181,9 @@ def check_lower_bound(k: int, dim: int, trials: int, seed: int = 0,
                       tol: float = TOL) -> PropertyReport:
     """Fewer balls than the dimension never shadow any exterior point.
 
-    Radii are arbitrary here; only the count matters.  Dimensions above 3
-    fall back to the heuristic search, whose failure to find a witness is
-    recorded as indeterminate rather than as a disproof.
+    Radii are arbitrary here; only the count matters.  The exact decision
+    covers every dimension, so an indeterminate verdict only records a
+    configuration too degenerate to decide.
     """
     if k >= dim:
         raise BadDimension(f"lower-bound check needs k < dim, got k={k}, dim={dim}")
@@ -195,14 +191,11 @@ def check_lower_bound(k: int, dim: int, trials: int, seed: int = 0,
     for trial, s in enumerate(_trial_seeds(seed, trials)):
         scene = random_disjoint_balls(dim, k, s)
         x = random_exterior_point(scene, seed=s + 1)
-        if dim <= 3:
-            verdict = point_shadow(scene, x, tol)
-        else:
-            verdict = heuristic_shadow(scene, x, seed=s + 2, tol=tol)
+        verdict = point_shadow(scene, x, tol)
         if verdict.verdict == NOT_SHADOWED and verdict.margin is not None \
                 and verdict.margin > tol:
             report.passes += 1
-        elif verdict.verdict in (INDETERMINATE, POSSIBLY_SHADOWED):
+        elif verdict.verdict == INDETERMINATE:
             report.indeterminates += 1
         else:
             report.failures.append({
@@ -416,6 +409,9 @@ def slice_connectivity(scene: Scene, plane: PlaneFrame, window: float,
     free cells are flood-filled with 4-connectivity and every component
     touching the raster edge counts as the single unbounded component.
     """
+    # imported here, its only user, to keep it out of every other command's start-up
+    from scipy import ndimage
+
     if resolution < 32:
         raise ValueError("resolution must be at least 32")
     if window <= 0:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 query answered / property holds, 1 property falsified,
-2 indeterminate (including heuristic searches that found nothing),
+2 indeterminate (including plane searches for m >= 2 that found nothing),
 3 input error.  Results go to stdout as JSON; warnings and diagnostics go
 to stderr.  ``--scene -`` reads the scene document from stdin, and
 ``scene gen`` writes a bare scene document so commands pipe together.
@@ -56,6 +56,17 @@ def _parse_point(text: str, what: str = "point") -> list[float]:
     return coords
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"could not parse {text!r} as a number") from exc
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def _jsonable(obj):
     import numpy as np
 
@@ -98,14 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     check = shadow_sub.add_parser("check", help="is every line through the point blocked?")
     check.add_argument("--scene", required=True)
     check.add_argument("--point", required=True)
-    check.add_argument("--tol", type=float, default=1e-9)
-    check.add_argument("--restarts", type=int, default=64)
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--tol", type=_tolerance, default=1e-9)
     tangent = shadow_sub.add_parser("tangent",
                                     help="is every tangent line of S^2 at the point blocked?")
     tangent.add_argument("--scene", required=True)
     tangent.add_argument("--point", required=True)
-    tangent.add_argument("--tol", type=float, default=1e-9)
+    tangent.add_argument("--tol", type=_tolerance, default=1e-9)
 
     plane = sub.add_parser("plane", help="avoiding-plane search")
     plane_sub = plane.add_subparsers(dest="subcommand", required=True)
@@ -115,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     find.add_argument("--m", type=int, required=True)
     find.add_argument("--restarts", type=int, default=64)
     find.add_argument("--seed", type=int, default=0)
-    find.add_argument("--tol", type=float, default=1e-9)
+    find.add_argument("--tol", type=_tolerance, default=1e-9)
 
     scene = sub.add_parser("scene", help="scene generators")
     scene_sub = scene.add_subparsers(dest="subcommand", required=True)
@@ -165,18 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_shadow_check(args) -> RunResult:
-    from .geometry import DimensionUnsupported
-    from .shadow import INDETERMINATE, POSSIBLY_SHADOWED, heuristic_shadow, point_shadow
+    from .shadow import INDETERMINATE, point_shadow
 
     scene = _load_scene(args.scene)
     x = _parse_point(args.point)
     if len(x) != scene.dim:
         raise CliError(f"point has {len(x)} coordinates, scene dimension is {scene.dim}")
-    try:
-        verdict = point_shadow(scene, x, args.tol)
-    except DimensionUnsupported:
-        verdict = heuristic_shadow(scene, x, restarts=args.restarts,
-                                   seed=args.seed, tol=args.tol)
+    verdict = point_shadow(scene, x, args.tol)
     payload = {
         "command": "shadow check",
         "scene": scene.label,
@@ -189,7 +193,7 @@ def _cmd_shadow_check(args) -> RunResult:
         "margin": verdict.margin,
         "gap": verdict.gap,
     }
-    code = 2 if verdict.verdict in (INDETERMINATE, POSSIBLY_SHADOWED) else 0
+    code = 2 if verdict.verdict == INDETERMINATE else 0
     return RunResult(code, payload)
 
 
@@ -221,7 +225,7 @@ def _cmd_plane_find(args) -> RunResult:
     x = _parse_point(args.point)
     if len(x) != scene.dim:
         raise CliError(f"point has {len(x)} coordinates, scene dimension is {scene.dim}")
-    exact = args.m == 1 and scene.dim in (2, 3)
+    exact = args.m == 1
     frame = find_avoiding_plane(scene, x, args.m, restarts=args.restarts,
                                 seed=args.seed, tol=args.tol)
     payload = {

@@ -1,16 +1,36 @@
 """Point-shadow, tangent-shadow, and avoiding-plane decision procedures.
 
-A point is "shadowed" by a family of pairwise-disjoint balls when every
-line through it meets at least one ball.  In the plane this is an arc
-union on the period-pi circle of line directions; in space it is a cap
-union on the direction sphere.  A point on some ball's boundary follows
-that ball's topology: a closed ball shadows it trivially (the point is in
-the ball), an open ball restricts the candidate lines to its tangent
-plane, where the test becomes a circle cover again.
+A point x is "shadowed" by a family of pairwise-disjoint balls when every
+line through it meets at least one ball.  Every shadow question goes
+through one reduction.  Seen from x, ball i has the polar point
+p_i = (c_i - x) / sqrt(pow_i(x)), where pow_i(x) = |c_i - x|^2 - r_i^2,
+and the line x + t d misses the closed ball iff |d . p_i| < 1.  The
+directions still allowed form a subspace with m orthonormal basis rows B:
 
-Exact decisions exist for dimensions 2 and 3.  Above that a seeded
-multi-start ascent can certify "not shadowed" by producing a verified
-witness line, but its failure to find one proves nothing.
+- all of R^n for a point outside every ball;
+- the tangent plane T_x S^2 for the tangent-line question;
+- for a point on the boundary of open balls, the directions orthogonal
+  to the touching axes, since a line through x misses a touching open
+  ball only when it is tangent to it.  A touching closed ball shadows x
+  trivially.
+
+With q_i = B p_i, x is shadowed iff every unit u in R^m has some
+|u . q_i| >= 1, i.e. iff conv{+-q_i} contains the unit ball.  The
+decision depends only on m:
+
+- m = 0: no line is left ("boundary-pinched");
+- m = 1: the single candidate line is checked ball by ball, a tangent
+  line hitting closed balls only ("boundary-candidate");
+- m = 2: an arc cover on the period-pi circle, the arc of q_i centred at
+  its polar angle with half-width acos(1/|q_i|) ("arc-union",
+  "boundary-circle", "tangent");
+- m >= 3: the polar-hull test ("polar-hull").  If some unit normal w of
+  a hyperplane has max |w . q_i| < 1 - tol, w is the witness; otherwise
+  qhull builds conv{+-q_i}, x is shadowed iff its nearest facet lies at
+  distance h_min >= 1 - tol from the origin, and else that facet's
+  normal is the witness.  A qhull failure gives "indeterminate".
+
+Arc gaps and facet distances within tol of closing count as closed.
 """
 
 from __future__ import annotations
@@ -23,12 +43,9 @@ import numpy as np
 from .circlecover import PERIOD_LINE, Arc, ArcSet, cover_circle
 from .geometry import (
     CLOSED,
-    OPEN,
     TOL,
     BadDimension,
-    Ball,
     Band,
-    Cap,
     DimensionUnsupported,
     PointInsideBall,
     Scene,
@@ -36,22 +53,19 @@ from .geometry import (
     ball_band,
     line_ball_clearance,
     orthonormal_basis,
-    tangent_arcs,
     unit,
 )
-from .spherecover import (
-    COVERED,
-    INDETERMINATE as COVER_INDETERMINATE,
-    UNCOVERED,
-    CapSet,
-    cover_sphere,
-)
-from .sampling import sample_sphere
 
 SHADOWED = "shadowed"
 NOT_SHADOWED = "not_shadowed"
 INDETERMINATE = "indeterminate"
 POSSIBLY_SHADOWED = "possibly_shadowed"
+"""No decision returns this any more; kept for callers that compare against it."""
+
+_SAME_AXIS = math.sqrt(1e-9)
+"""Touching axes whose pair has 1 - |cos| <= 1e-9 constrain as one axis.
+
+The smaller singular value of two unit axes is sqrt(1 - |cos|)."""
 
 
 @dataclass(eq=False)
@@ -62,8 +76,9 @@ class ShadowVerdict:
     witness_direction) misses every ball and ``margin`` is its smallest
     line-to-surface clearance (length units, tangencies at a boundary
     viewpoint excluded).  ``gap`` is the largest angular gap for the
-    circle-based tests.  ``possibly_shadowed`` is the honest answer of the
-    heuristic search when it finds nothing: it is not a proof.
+    circle-based tests.  ``search_margin`` is the polar-hull test's
+    dimensionless 1 - max_i |u . q_i| at its best direction u: positive
+    for a witness, at most tol otherwise.
     """
 
     verdict: str
@@ -123,252 +138,172 @@ def witness_clearance(scene: Scene, x, d, skip: tuple[int, ...] = ()) -> float:
     return min(vals) if vals else math.inf
 
 
+def _ball_vectors(scene: Scene, x: np.ndarray, tol: float):
+    """Centre offsets c_i - x, their lengths and the radii, as arrays.
+
+    Raises PointInsideBall when x is inside some ball by more than tol.
+    """
+    v = np.array([b.center for b in scene.balls], dtype=float).reshape(-1, scene.dim) - x
+    dist = np.linalg.norm(v, axis=1)
+    radii = np.array([b.radius for b in scene.balls], dtype=float)
+    inside = np.flatnonzero(dist - radii < -tol)
+    if inside.size:
+        raise PointInsideBall(int(inside[0]))
+    return v, dist, radii
+
+
+def _polar_arcs(q: np.ndarray) -> ArcSet:
+    """Period-pi arcs of the unit u in R^2 with |u . q_i| >= 1, one per |q_i| >= 1."""
+    arcs = []
+    for (q1, q2), n in zip(q.tolist(), np.linalg.norm(q, axis=1).tolist()):
+        if n >= 1.0:
+            arcs.append(Arc(math.atan2(q2, q1), math.acos(1.0 / n), PERIOD_LINE))
+    return ArcSet(PERIOD_LINE, arcs)
+
+
 def shadow_arcs_2d(scene: Scene, x, tol: float = TOL) -> ArcSet:
     """Period-pi arcs of line directions through x hitting each disc.
 
     Assumes x strictly outside every disc; arc centers are the polar
     angles of the center directions and half-widths arcsin(r/dist).
     """
-    x = as_vector(x, 2)
-    arcs = []
-    for b in scene.balls:
-        v = b.center - x
-        dist = float(np.linalg.norm(v))
-        arcs.append(Arc(math.atan2(v[1], v[0]), math.asin(min(b.radius / dist, 1.0)),
-                        PERIOD_LINE))
-    return ArcSet(PERIOD_LINE, arcs)
+    v, dist, radii = _ball_vectors(scene, as_vector(x, 2), tol)
+    return _polar_arcs(v / np.sqrt((dist - radii) * (dist + radii))[:, None])
 
 
-def _classify_point(scene: Scene, x, tol: float) -> tuple[np.ndarray, list[int]]:
-    clear = scene.clearances(x)
-    inside = np.flatnonzero(clear < -tol)
-    if inside.size:
-        raise PointInsideBall(int(inside[0]))
-    touching = [i for i in range(len(scene.balls)) if abs(clear[i]) <= tol]
-    return clear, touching
+def _polar_hull(q: np.ndarray, tol: float) -> tuple[np.ndarray, float] | None:
+    """A unit u in R^m and h = max_i |u . q_i|, or None when qhull fails.
 
-
-def point_shadow(scene: Scene, x, tol: float = TOL, falsifier_grid: int = 20000) -> ShadowVerdict:
-    """Exact shadow decision for a point in dimension 2 or 3."""
-    x = as_vector(x, scene.dim)
-    if scene.dim not in (2, 3):
-        raise DimensionUnsupported(
-            f"exact shadow decisions cover dimensions 2 and 3, not {scene.dim}; "
-            "use heuristic_shadow")
-    _, touching = _classify_point(scene, x, tol)
-    bands = [ball_band(x, b, tol) for b in scene.balls]
-    if touching:
-        closed_touch = [i for i in touching if scene.balls[i].topology == CLOSED]
-        if closed_touch:
-            return ShadowVerdict(SHADOWED, trivial=True, boundary_index=closed_touch[0],
-                                 per_ball_bands=bands, method="boundary-closed")
-        return _boundary_open_shadow(scene, x, touching, bands, tol)
-    if scene.dim == 2:
-        return _interior_shadow_2d(scene, x, bands, tol)
-    return _interior_shadow_3d(scene, x, bands, tol, falsifier_grid)
-
-
-def _interior_shadow_2d(scene: Scene, x, bands, tol: float) -> ShadowVerdict:
-    cov = cover_circle(shadow_arcs_2d(scene, x, tol), tol)
-    if cov.covered:
-        return ShadowVerdict(SHADOWED, per_ball_bands=bands, gap=0.0, method="arc-union")
-    d = np.array([math.cos(cov.witness), math.sin(cov.witness)])
-    return ShadowVerdict(NOT_SHADOWED, witness_point=np.array(x, dtype=float),
-                         witness_direction=d, margin=witness_clearance(scene, x, d),
-                         gap=cov.largest_gap, per_ball_bands=bands, method="arc-union")
-
-
-def _interior_shadow_3d(scene: Scene, x, bands, tol: float, falsifier_grid: int) -> ShadowVerdict:
-    caps = []
-    for band, ball in zip(bands, scene.balls):
-        caps.append(Cap(band.axis, band.half_angle, ball.topology))
-        caps.append(Cap(-band.axis, band.half_angle, ball.topology))
-    cov = cover_sphere(CapSet(caps), tol, falsifier_grid)
-    if cov.verdict == COVERED:
-        return ShadowVerdict(SHADOWED, per_ball_bands=bands, method="cap-union")
-    if cov.verdict == UNCOVERED:
-        d = cov.witness
-        return ShadowVerdict(NOT_SHADOWED, witness_point=np.array(x, dtype=float),
-                             witness_direction=d, margin=witness_clearance(scene, x, d),
-                             gap=None, per_ball_bands=bands, method="cap-union",
-                             search_margin=cov.margin)
-    return ShadowVerdict(INDETERMINATE, per_ball_bands=bands, method="cap-union",
-                         search_margin=cov.margin)
-
-
-def _boundary_open_shadow(scene: Scene, x, touching, bands, tol: float) -> ShadowVerdict:
-    """Shadow decision for x on the boundary of one or more open balls.
-
-    A line through x misses a touching open ball iff its direction is
-    orthogonal to that ball's axis, so the candidates are the common
-    orthogonal directions of all touching axes: a tangent great circle for
-    one constraint in R^3, a single line for two independent constraints,
-    nothing for three.
+    h < 1 - tol whenever some direction reaches that: a nearly flat set
+    answers with the normal w of least spread, and otherwise u is the
+    outward normal of the facet of conv{+-q_i} nearest the origin, whose
+    distance h is the least h over all directions.
     """
-    axes = [bands[i].axis for i in touching]
-    base = [axes[0]]
-    for a in axes[1:]:
-        if all(abs(abs(float(a @ b)) - 1.0) > 1e-9 for b in base):
-            base.append(a)
-    if scene.dim == 2:
-        if len(base) >= 2:
-            return ShadowVerdict(SHADOWED, per_ball_bands=bands, method="boundary-pinched",
-                                 boundary_index=touching[0])
-        u = base[0]
-        d = np.array([-u[1], u[0]])
-        return _candidate_line_verdict(scene, x, d, touching, bands, tol)
-    if len(base) == 1:
-        return _great_circle_shadow(scene, x, touching, base[0], bands, tol)
-    d = np.cross(base[0], base[1])
-    n = float(np.linalg.norm(d))
-    if n < 1e-12 or any(abs(float(d @ a)) / n > 1e-9 for a in base[2:]):
-        return ShadowVerdict(SHADOWED, per_ball_bands=bands, method="boundary-pinched",
-                             boundary_index=touching[0])
-    return _candidate_line_verdict(scene, x, d / n, touching, bands, tol)
+    w = np.linalg.svd(q)[2][-1]
+    spread = float(np.max(np.abs(q @ w), initial=0.0))
+    if spread < 1.0 - tol:
+        return w, spread
+    # imported on first use: scipy.spatial adds about 0.1 s to start-up
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        hull = ConvexHull(np.vstack([q, -q]))
+    except QhullError:
+        return None
+    # rows are (normal, offset) with offset = -distance from the origin
+    i = int(np.argmax(hull.equations[:, -1]))
+    return hull.equations[i, :-1], -float(hull.equations[i, -1])
 
 
-def _candidate_line_verdict(scene: Scene, x, d, touching, bands, tol: float) -> ShadowVerdict:
-    """Judge the single line that could miss every touching open ball."""
-    for j, b in enumerate(scene.balls):
-        if j in touching:
-            continue
-        c = line_ball_clearance(x, d, b)
-        hit = c < -tol or (abs(c) <= tol and b.topology == CLOSED)
-        if hit:
-            return ShadowVerdict(SHADOWED, per_ball_bands=bands, method="boundary-candidate",
-                                 boundary_index=touching[0])
-    return ShadowVerdict(NOT_SHADOWED, witness_point=np.array(x, dtype=float),
-                         witness_direction=np.asarray(d, dtype=float),
-                         margin=witness_clearance(scene, x, d, skip=tuple(touching)),
-                         per_ball_bands=bands, method="boundary-candidate",
-                         boundary_index=touching[0])
+def _candidate_basis(basis: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the directions of ``basis`` orthogonal to every axis.
+
+    One axis in R^3 keeps the orthonormal_basis frame, as the tangent
+    question does, so witness angles on the tangent circle are reproducible.
+    """
+    _, s, vt = np.linalg.svd(axes @ basis.T)
+    rank = int(np.count_nonzero(s > _SAME_AXIS))
+    if rank == 1 and basis.shape == (3, 3):
+        return np.stack(orthonormal_basis(axes[0]))
+    return vt[rank:] @ basis
 
 
-def _great_circle_shadow(scene: Scene, x, touching, u, bands, tol: float) -> ShadowVerdict:
-    """Circle cover over the tangent great circle orthogonal to axis u."""
-    e1, e2 = orthonormal_basis(u)
-    arcs = []
-    for j, band in enumerate(bands):
-        if j in touching:
-            continue
-        w = band.axis
-        c1, c2 = float(w @ e1), float(w @ e2)
-        reach = math.hypot(c1, c2)
-        blocked = math.cos(band.half_angle)
-        if reach < 1e-15 or blocked > reach:
-            continue
-        arcs.append(Arc(math.atan2(c2, c1), math.acos(min(blocked / reach, 1.0)),
-                        PERIOD_LINE))
-    cov = cover_circle(ArcSet(PERIOD_LINE, arcs), tol)
-    if cov.covered:
-        return ShadowVerdict(SHADOWED, per_ball_bands=bands, gap=0.0,
-                             method="boundary-circle", boundary_index=touching[0])
-    d = math.cos(cov.witness) * e1 + math.sin(cov.witness) * e2
+def _decide(scene: Scene, x: np.ndarray, basis: np.ndarray, tol: float,
+            circle_method: str) -> ShadowVerdict:
+    """Shadow decision over the lines through x with directions in the span of ``basis``."""
+    v, dist, radii = _ball_vectors(scene, x, tol)
+    touch = np.abs(dist - radii) <= tol
+    touching = np.flatnonzero(touch).tolist()
+    closed = [i for i in touching if scene.balls[i].topology == CLOSED]
+    if closed:
+        return ShadowVerdict(SHADOWED, trivial=True, boundary_index=closed[0],
+                             method="boundary-closed")
+    boundary = touching[0] if touching else None
+    if touching:
+        basis = _candidate_basis(basis, v[touch] / dist[touch, None])
+        if circle_method == "arc-union":
+            circle_method = "boundary-circle"
+    m = len(basis)
+    method = {0: "boundary-pinched", 1: "boundary-candidate",
+              2: circle_method}.get(m, "polar-hull")
+    free = ~touch
+    pw = (dist[free] - radii[free]) * (dist[free] + radii[free])
+    q = (v[free] / np.sqrt(pw)[:, None]) @ basis.T
+    gap = search_margin = None
+    if m == 0:
+        return ShadowVerdict(SHADOWED, boundary_index=boundary, method=method)
+    if m == 1:
+        for j in np.flatnonzero(free).tolist():
+            b = scene.balls[j]
+            c = line_ball_clearance(x, basis[0], b)
+            if c < -tol or (c <= tol and b.topology == CLOSED):
+                return ShadowVerdict(SHADOWED, boundary_index=boundary, method=method)
+        u = np.ones(1)
+    elif m == 2:
+        cov = cover_circle(_polar_arcs(q), tol)
+        if cov.covered:
+            return ShadowVerdict(SHADOWED, gap=0.0, boundary_index=boundary, method=method)
+        u, gap = np.array([math.cos(cov.witness), math.sin(cov.witness)]), cov.largest_gap
+    else:
+        found = _polar_hull(q, tol)
+        if found is None:
+            return ShadowVerdict(INDETERMINATE, boundary_index=boundary, method=method)
+        u, h = found
+        search_margin = 1.0 - h
+        if h >= 1.0 - tol:
+            return ShadowVerdict(SHADOWED, boundary_index=boundary, method=method,
+                                 search_margin=search_margin)
+    d = u @ basis
     return ShadowVerdict(NOT_SHADOWED, witness_point=np.array(x, dtype=float),
                          witness_direction=d,
                          margin=witness_clearance(scene, x, d, skip=tuple(touching)),
-                         gap=cov.largest_gap, per_ball_bands=bands,
-                         method="boundary-circle", boundary_index=touching[0])
+                         gap=gap, boundary_index=boundary, method=method,
+                         search_margin=search_margin)
+
+
+def point_shadow(scene: Scene, x, tol: float = TOL) -> ShadowVerdict:
+    """Exact shadow decision for a point in any dimension from 2 up.
+
+    The verdict carries the band of every ball as seen from x.
+    """
+    x = as_vector(x, scene.dim)
+    if scene.dim < 2:
+        raise DimensionUnsupported(f"shadow decisions need dimension 2 or more, not {scene.dim}")
+    verdict = _decide(scene, x, np.eye(scene.dim), tol, "arc-union")
+    verdict.per_ball_bands = [ball_band(x, b, tol) for b in scene.balls]
+    return verdict
 
 
 def tangent_shadow(scene: Scene, x, tol: float = TOL) -> ShadowVerdict:
     """Shadow decision restricted to tangent lines of S^2 at a sphere point x.
 
     x is normalized onto the unit sphere and must be outside every ball.
-    The verdict says whether the balls block every tangent line at x.
+    The verdict says whether the balls block every tangent line at x.  A
+    ball whose sphere passes through x follows its topology, as in
+    :func:`point_shadow`.
     """
     if scene.dim != 3:
         raise DimensionUnsupported("tangent shadows are defined on S^2 in R^3")
     x = unit(as_vector(x, 3))
-    arcs: list[Arc] = []
-    for b in scene.balls:
-        arcs.extend(tangent_arcs(x, b, tol))
-    cov = cover_circle(ArcSet(PERIOD_LINE, arcs), tol)
-    if cov.covered:
-        return ShadowVerdict(SHADOWED, gap=0.0, method="tangent")
-    e1, e2 = orthonormal_basis(x)
-    d = math.cos(cov.witness) * e1 + math.sin(cov.witness) * e2
-    return ShadowVerdict(NOT_SHADOWED, witness_point=x, witness_direction=d,
-                         margin=witness_clearance(scene, x, d), gap=cov.largest_gap,
-                         method="tangent")
-
-
-def _band_margin(d: np.ndarray, axes: np.ndarray, cos_alpha: np.ndarray) -> float:
-    return float(np.min(cos_alpha - np.abs(axes @ d)))
+    return _decide(scene, x, np.stack(orthonormal_basis(x)), tol, "tangent")
 
 
 def heuristic_shadow(scene: Scene, x, restarts: int = 64, seed: int = 0,
                      tol: float = TOL) -> ShadowVerdict:
-    """Witness-search shadow test for any dimension.
+    """Alias of :func:`point_shadow`, kept for existing callers.
 
-    Maximizes mu(d) = min_i (cos(alpha_i) - |d . u_i|) over unit directions
-    by seeded multi-start ascent.  A best margin above tol certifies "not
-    shadowed" with a re-verified witness line; anything else returns
-    possibly_shadowed, which is not a proof of shadowing.  Dimension 2
-    delegates to the exact decision.
+    The exact decision covers every dimension from 2 up, so nothing is
+    left to search: ``restarts`` and ``seed`` are ignored.
     """
-    x = as_vector(x, scene.dim)
-    if scene.dim == 2:
-        return point_shadow(scene, x, tol)
-    _, touching = _classify_point(scene, x, tol)
-    if touching:
-        if scene.dim == 3:
-            return point_shadow(scene, x, tol)
-        closed_touch = [i for i in touching if scene.balls[i].topology == CLOSED]
-        if closed_touch:
-            return ShadowVerdict(SHADOWED, trivial=True, boundary_index=closed_touch[0],
-                                 method="boundary-closed")
-        return ShadowVerdict(POSSIBLY_SHADOWED, method="heuristic",
-                             boundary_index=touching[0])
-    bands = [ball_band(x, b, tol) for b in scene.balls]
-    if not bands:
-        d = np.zeros(scene.dim)
-        d[0] = 1.0
-        return ShadowVerdict(NOT_SHADOWED, witness_point=np.array(x, dtype=float),
-                             witness_direction=d, margin=math.inf,
-                             per_ball_bands=bands, method="heuristic", search_margin=math.inf)
-    axes = np.stack([b.axis for b in bands])
-    cos_alpha = np.array([math.cos(b.half_angle) for b in bands])
-    best_d, best_mu = None, -math.inf
-    for start in sample_sphere(restarts, seed, scene.dim):
-        d = np.array(start)
-        mu = _band_margin(d, axes, cos_alpha)
-        step = 0.1
-        for _ in range(200):
-            if step < 1e-12:
-                break
-            vals = cos_alpha - np.abs(axes @ d)
-            i = int(np.argmin(vals))
-            g = -math.copysign(1.0, float(axes[i] @ d)) * axes[i]
-            g_t = g - float(g @ d) * d
-            n = float(np.linalg.norm(g_t))
-            if n < 1e-15:
-                break
-            cand = unit(d + (step / n) * g_t)
-            mu_c = _band_margin(cand, axes, cos_alpha)
-            if mu_c > mu:
-                d, mu = cand, mu_c
-            else:
-                step /= 2.0
-        if mu > best_mu or (mu == best_mu and best_d is not None
-                            and tuple(d) < tuple(best_d)):
-            best_d, best_mu = d, mu
-    if best_mu > tol:
-        return ShadowVerdict(NOT_SHADOWED, witness_point=np.array(x, dtype=float),
-                             witness_direction=best_d,
-                             margin=witness_clearance(scene, x, best_d),
-                             per_ball_bands=bands, method="heuristic",
-                             search_margin=best_mu)
-    return ShadowVerdict(POSSIBLY_SHADOWED, per_ball_bands=bands, method="heuristic",
-                         search_margin=best_mu)
+    return point_shadow(scene, x, tol)
 
 
 def find_avoiding_plane(scene: Scene, x, m: int, restarts: int = 64, seed: int = 0,
                         tol: float = TOL) -> PlaneFrame | None:
     """Search for an affine m-plane through x avoiding every ball.
 
-    For lines in dimensions 2 and 3 the exact shadow decision answers
-    directly.  Otherwise a seeded multi-start ascent maximizes the worst
+    For lines (m = 1) the exact shadow decision answers directly.
+    Otherwise a seeded multi-start ascent maximizes the worst
     squared clearance min_i (|v_i|^2 - |proj v_i|^2 - r_i^2) over
     orthonormal frames; a returned frame is always re-verified (every
     center farther from the plane than its radius plus tol), and None
@@ -379,8 +314,8 @@ def find_avoiding_plane(scene: Scene, x, m: int, restarts: int = 64, seed: int =
     n = scene.dim
     if not 1 <= m <= n - 1:
         raise BadDimension(f"plane dimension m must satisfy 1 <= m <= {n - 1}, got {m}")
-    _, touching = _classify_point(scene, x, tol)
-    if m == 1 and n in (2, 3):
+    v, _, radii = _ball_vectors(scene, x, tol)
+    if m == 1:
         verdict = point_shadow(scene, x, tol)
         if verdict.verdict == NOT_SHADOWED:
             return PlaneFrame(x, verdict.witness_direction[None, :])
@@ -390,9 +325,6 @@ def find_avoiding_plane(scene: Scene, x, m: int, restarts: int = 64, seed: int =
         for i in range(m):
             frame[i, i] = 1.0
         return PlaneFrame(x, frame)
-    centers = np.stack([b.center for b in scene.balls])
-    radii = np.array([b.radius for b in scene.balls])
-    v = centers - x[None, :]
     norm2 = (v * v).sum(axis=1)
     r2 = radii * radii
 

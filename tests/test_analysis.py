@@ -63,10 +63,10 @@ def test_lower_bound_validation_and_small_runs():
         check_lower_bound(k=3, dim=3, trials=1)
     r = check_lower_bound(k=2, dim=3, trials=6, seed=2)
     assert r.status == PASS
-    # heuristic fallback above dimension 3: may abstain but must not fail
+    # the exact decision covers dimension 4 as well
     r4 = check_lower_bound(k=2, dim=4, trials=4, seed=3)
-    assert not r4.failures
-    assert r4.passes + r4.indeterminates == 4
+    assert r4.status == PASS
+    assert r4.passes == 4
 
 
 def test_point_triangle_distances():

@@ -173,6 +173,35 @@ def test_main_maps_errors_to_exit_3(capsys, lemma_file):
     assert "error:" in out.err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", [
+    ["shadow", "check", "--point", "9,9"],
+    ["shadow", "tangent", "--point", "1,0,0"],
+    ["plane", "find", "--point", "9,9", "--m", "1"],
+])
+def test_main_rejects_bad_tolerance_with_exit_3(capsys, lemma_file, command, tol):
+    code = main([*command, "--scene", lemma_file, "--tol", tol])
+    assert code == 3
+    out = capsys.readouterr()
+    assert json.loads(out.out.strip())["status"] == "error"
+    assert "--tol" in out.err
+
+
+def test_shadow_check_dim4_is_exact(tmp_path):
+    doc = {"dim": 4, "balls": [{"center": [3.0, 0.0, 0.0, 0.0], "radius": 1.0},
+                               {"center": [0.0, 3.0, 0.0, 0.0], "radius": 1.0}]}
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(doc))
+    res = dispatch(["shadow", "check", "--scene", str(path), "--point", "0,0,0,0"])
+    assert res.exit_code == 0
+    assert res.payload["verdict"] == "not_shadowed"
+    assert res.payload["method"] == "polar-hull"
+    assert res.payload["margin"] > 0
+    found = dispatch(["plane", "find", "--scene", str(path), "--point", "0,0,0,0", "--m", "1"])
+    assert found.payload["exact"] is True
+    assert found.payload["found"] is True
+
+
 def test_main_maps_point_inside_ball_to_exit_3(capsys, lemma_file):
     code = main(["shadow", "check", "--scene", lemma_file, "--point", "0,0"])
     assert code == 3

@@ -10,14 +10,15 @@ from shadowgeo.geometry import (
     OPEN,
     BadDimension,
     Ball,
+    Cap,
     DimensionUnsupported,
     PointInsideBall,
     Scene,
     unit,
 )
+from shadowgeo.spherecover import COVERED, INDETERMINATE, CapSet, cover_sphere
 from shadowgeo.shadow import (
     NOT_SHADOWED,
-    POSSIBLY_SHADOWED,
     SHADOWED,
     PlaneFrame,
     find_avoiding_plane,
@@ -39,6 +40,21 @@ def three_discs_at_120(radius):
 def octahedral_scene(dist=3.0, radius=2.0):
     axes = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     return Scene(3, [Ball(np.array(a, dtype=float) * dist, radius) for a in axes])
+
+
+def random_rotation(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def concentric_shells(dim, vertices, rho, ratio, shells, seed):
+    """Balls of radius rho * ratio^j at ratio^j times a rotated vertex set, shell j."""
+    rng = np.random.default_rng(seed)
+    balls = []
+    for j in range(shells):
+        rot = random_rotation(rng, dim)
+        balls += [Ball(ratio**j * rot @ u, rho * ratio**j) for u in vertices]
+    return Scene(dim, balls)
 
 
 def certify_not_shadowed(scene, verdict):
@@ -88,8 +104,9 @@ def test_point_inside_ball_raises():
 
 def test_unsupported_dimensions():
     sc = Scene(4, [Ball([2.0, 0.0, 0.0, 0.0], 1.0)])
-    with pytest.raises(DimensionUnsupported):
-        point_shadow(sc, [0.0, 0.0, 0.0, 0.0])
+    v = point_shadow(sc, [0.0, 0.0, 0.0, 0.0])
+    certify_not_shadowed(sc, v)
+    assert v.method == "polar-hull"
     sc1 = Scene(1, [Ball([2.0], 1.0)])
     with pytest.raises(DimensionUnsupported):
         point_shadow(sc1, [0.0])
@@ -145,7 +162,7 @@ def test_cube14_origin_not_shadowed_either_topology():
         v = point_shadow(scene, [0.0, 0.0, 0.0])
         assert v.verdict == NOT_SHADOWED
         certify_not_shadowed(scene, v)
-        assert v.method == "cap-union"
+        assert v.method == "polar-hull"
 
 
 def test_octahedral_balls_shadow_nothing_but_block_planes():
@@ -203,6 +220,67 @@ def test_boundary_three_independent_constraints_pinched():
     assert v.method == "boundary-pinched"
 
 
+# ------------------------------------------------------- higher dimensions
+
+
+CROSS_4 = np.vstack([np.eye(4), -np.eye(4)])
+
+
+def test_dim4_shells_shadow_the_centre_until_shrunk():
+    # six rotated cross-polytope shells: neighbouring centres of a shell are
+    # sqrt(2) > 2 * 0.7 apart per unit of its distance, and shell j + 1 starts
+    # beyond shell j since 6 * (1 - 0.7) > 1 + 0.7
+    sc = concentric_shells(4, CROSS_4, 0.7, 6.0, 6, seed=20)
+    assert sc.disjointness_violations() == []
+    v = point_shadow(sc, np.zeros(4))
+    assert v.verdict == SHADOWED
+    assert v.method == "polar-hull"
+    shadowed, miss = point_shadow_sampled(sc, np.zeros(4), n=1000, seed=1)
+    assert shadowed, f"sampled miss {miss}"
+
+    shrunk = concentric_shells(4, CROSS_4, 0.6, 6.0, 6, seed=20)
+    v = point_shadow(shrunk, np.zeros(4))
+    certify_not_shadowed(shrunk, v)
+    assert v.search_margin > 1e-9
+    assert v.margin > 1e-9
+
+
+def test_dim4_open_boundary_one_touching_axis():
+    # x = 0 sits on the open ball around e4: lines must stay in e4's complement
+    ring = [Ball(3.0 * np.array(c, dtype=float), 1.0) for c in
+            [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 1)]]
+    sc = Scene(4, [Ball([0.0, 0.0, 0.0, 1.0], 1.0, OPEN)] + ring)
+    assert sc.disjointness_violations() == []
+    v = point_shadow(sc, np.zeros(4))
+    assert v.verdict == NOT_SHADOWED
+    assert v.method == "polar-hull"
+    assert v.boundary_index == 0
+    assert abs(v.witness_direction[3]) < 1e-12
+    assert v.margin > 1e-9
+    certify_not_shadowed(sc, v)
+
+
+def test_dim4_open_boundary_two_touching_axes():
+    # overlapping on purpose: two open balls touch x = 0 with axes e3 and e4,
+    # leaving the circle of lines in the e1-e2 plane
+    def scene(radius):
+        blockers = [Ball([3.0 * math.cos(a), 3.0 * math.sin(a), 0.0, 0.0], radius)
+                    for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+        return Scene(4, [Ball([0.0, 0.0, 0.0, 1.0], 1.0, OPEN),
+                         Ball([0.0, 0.0, 2.0, 0.0], 2.0, OPEN)] + blockers)
+
+    v = point_shadow(scene(1.6), np.zeros(4))
+    assert v.verdict == SHADOWED
+    assert v.method == "boundary-circle"
+    sc = scene(1.4)
+    v = point_shadow(sc, np.zeros(4))
+    assert v.verdict == NOT_SHADOWED
+    assert v.method == "boundary-circle"
+    np.testing.assert_allclose(v.witness_direction[2:], 0.0, atol=1e-12)
+    for b in sc.balls[2:]:
+        assert not line_hits(v.witness_point, v.witness_direction, b.center, b.radius)
+
+
 # ------------------------------------------------------------- tangent lines
 
 
@@ -239,6 +317,23 @@ def test_tangent_shadow_rejects_point_inside_ball():
         tangent_shadow(Scene(2, [Ball([3.0, 0.0], 1.0)]), [1.0, 0.0])
 
 
+def test_tangent_shadow_on_a_ball_sphere_follows_topology():
+    # x = e3 lies on the sphere of a ball centred at e1 + e3 with axis e1
+    x = [0.0, 0.0, 1.0]
+    v = tangent_shadow(Scene(3, [Ball([1.0, 0.0, 1.0], 1.0, CLOSED)]), x)
+    assert v.verdict == SHADOWED
+    assert v.trivial
+    # an open ball leaves the tangent line along e2, unless a ball blocks it
+    sc = Scene(3, [Ball([1.0, 0.0, 1.0], 1.0, OPEN), Ball([-3.0, 0.0, 1.0], 1.0)])
+    v = tangent_shadow(sc, x)
+    assert v.verdict == NOT_SHADOWED
+    assert v.boundary_index == 0
+    np.testing.assert_allclose(np.abs(v.witness_direction), [0.0, 1.0, 0.0], atol=1e-12)
+    certify_not_shadowed(sc, v)
+    blocked = Scene(3, [Ball([1.0, 0.0, 1.0], 1.0, OPEN), Ball([0.0, 3.0, 1.0], 1.0)])
+    assert tangent_shadow(blocked, x).verdict == SHADOWED
+
+
 def test_tangent_shadow_empty_scene():
     v = tangent_shadow(Scene(3, []), [0.0, 0.0, 1.0])
     assert v.verdict == NOT_SHADOWED
@@ -272,7 +367,10 @@ def test_heuristic_is_deterministic():
 
 def test_heuristic_touching_high_dimension():
     open_touch = Scene(4, [Ball([2.0, 0.0, 0.0, 0.0], 1.0, OPEN)])
-    assert heuristic_shadow(open_touch, [1.0, 0.0, 0.0, 0.0]).verdict == POSSIBLY_SHADOWED
+    v = heuristic_shadow(open_touch, [1.0, 0.0, 0.0, 0.0])
+    assert v.verdict == NOT_SHADOWED
+    assert v.boundary_index == 0
+    assert abs(v.witness_direction @ np.array([1.0, 0.0, 0.0, 0.0])) < 1e-12
     closed_touch = Scene(4, [Ball([2.0, 0.0, 0.0, 0.0], 1.0, CLOSED)])
     v = heuristic_shadow(closed_touch, [1.0, 0.0, 0.0, 0.0])
     assert v.verdict == SHADOWED
@@ -373,6 +471,34 @@ def test_3d_two_balls_never_shadow_and_heuristic_agrees(case):
     h = heuristic_shadow(sc, x, seed=4)
     assert h.verdict == NOT_SHADOWED
     certify_not_shadowed(sc, h)
+
+
+CUBE_3 = np.array([[sx, sy, sz] for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)],
+                  dtype=float) / math.sqrt(3.0)
+
+
+@st.composite
+def shell_query(draw):
+    """Rotated cube-vertex shells (ratio 4) and a point near their centre."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    sc = concentric_shells(3, CUBE_3, draw(st.floats(0.55, 0.57)), 4.0,
+                           draw(st.integers(5, 8)), seed)
+    x = np.array([draw(st.floats(-0.1, 0.1, allow_nan=False)) for _ in range(3)])
+    return sc, x
+
+
+@given(st.one_of(shell_query(), exterior_query(dim=3, k=4)))
+@settings(max_examples=40)
+def test_3d_verdicts_agree_with_band_cap_cover(case):
+    sc, x = case
+    v = point_shadow(sc, x)
+    caps = [Cap(s * b.axis, b.half_angle) for b in v.per_ball_bands for s in (1.0, -1.0)]
+    cov = cover_sphere(CapSet(caps))
+    if cov.verdict == INDETERMINATE:
+        return
+    assert (v.verdict == SHADOWED) == (cov.verdict == COVERED)
+    if v.verdict == NOT_SHADOWED:
+        certify_not_shadowed(sc, v)
 
 
 @given(st.floats(0.0, 2 * math.pi, allow_nan=False), st.integers(0, 10_000))
