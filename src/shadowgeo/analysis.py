@@ -104,6 +104,48 @@ def _witness_entry(verdict) -> dict:
     }
 
 
+def _run_trials(report: PropertyReport, seed: int, tol: float, draw) -> int:
+    """Run ``report.trials`` seeded trials of "no point is shadowed" into ``report``.
+
+    ``draw(s)`` gives the scene and the points of the trial with seed s.
+    A point passes with a not_shadowed verdict whose margin exceeds tol;
+    the first point that neither passes nor is indeterminate fails the
+    trial, and its replay record is kept.  A trial with no failure but
+    some indeterminate point counts as indeterminate.  Returns the
+    number of points decided.
+    """
+    tested = 0
+    for trial, s in enumerate(_trial_seeds(seed, report.trials)):
+        scene, points = draw(s)
+        failed = None
+        saw_indeterminate = False
+        for p in points:
+            tested += 1
+            verdict = point_shadow(scene, p, tol)
+            if verdict.verdict == NOT_SHADOWED and verdict.margin is not None \
+                    and verdict.margin > tol:
+                continue
+            if verdict.verdict == INDETERMINATE:
+                saw_indeterminate = True
+                continue
+            failed = {
+                "trial": trial,
+                "seed": s,
+                "scene": scene_to_dict(scene),
+                "point": [float(c) for c in p],
+                "verdict": verdict.verdict,
+                "witness": _witness_entry(verdict),
+            }
+            break
+        if failed:
+            report.failures.append(failed)
+        elif saw_indeterminate:
+            report.indeterminates += 1
+        else:
+            report.passes += 1
+    return tested
+
+
 def check_theorem3(trials: int, seed: int = 0, tol: float = TOL,
                    points_per_trial: int = 20) -> PropertyReport:
     """Boundary points of three equal disjoint open balls are never shadowed.
@@ -116,64 +158,26 @@ def check_theorem3(trials: int, seed: int = 0, tol: float = TOL,
     """
     report = PropertyReport(name="three-equal-open-balls-boundary",
                             trials=trials, passes=0)
-    tested = 0
-    for trial, s in enumerate(_trial_seeds(seed, trials)):
+    per_ball = math.ceil(points_per_trial / 3)
+
+    def draw(s):
         scene = random_equal_balls(3, 3, 1.0, s, topology=OPEN)
-        failed = None
-        saw_indeterminate = False
-        per_ball = math.ceil(points_per_trial / 3)
-        for i in range(3):
-            for p in boundary_sample(scene, i, per_ball, seed=s + i + 1):
-                tested += 1
-                verdict = point_shadow(scene, p, tol)
-                if verdict.verdict == NOT_SHADOWED and verdict.margin is not None \
-                        and verdict.margin > tol:
-                    continue
-                if verdict.verdict == INDETERMINATE:
-                    saw_indeterminate = True
-                    continue
-                failed = {
-                    "trial": trial,
-                    "seed": s,
-                    "scene": scene_to_dict(scene),
-                    "point": [float(c) for c in p],
-                    "verdict": verdict.verdict,
-                    "witness": _witness_entry(verdict),
-                }
-                break
-            if failed:
-                break
-        if failed:
-            report.failures.append(failed)
-        elif saw_indeterminate:
-            report.indeterminates += 1
-        else:
-            report.passes += 1
-    report.details["boundary_points_tested"] = tested
+        return scene, (p for i in range(3)
+                       for p in boundary_sample(scene, i, per_ball, seed=s + i + 1))
+
+    report.details["boundary_points_tested"] = _run_trials(report, seed, tol, draw)
     return report
 
 
 def check_theorem4(trials: int, seed: int = 0, tol: float = TOL) -> PropertyReport:
     """Three equal disjoint balls in R^3 never shadow an exterior point."""
     report = PropertyReport(name="three-equal-balls-exterior", trials=trials, passes=0)
-    for trial, s in enumerate(_trial_seeds(seed, trials)):
+
+    def draw(s):
         scene = random_equal_balls(3, 3, 1.0, s)
-        x = random_exterior_point(scene, seed=s + 1)
-        verdict = point_shadow(scene, x, tol)
-        if verdict.verdict == NOT_SHADOWED and verdict.margin is not None \
-                and verdict.margin > tol:
-            report.passes += 1
-        elif verdict.verdict == INDETERMINATE:
-            report.indeterminates += 1
-        else:
-            report.failures.append({
-                "trial": trial,
-                "seed": s,
-                "scene": scene_to_dict(scene),
-                "point": [float(c) for c in x],
-                "verdict": verdict.verdict,
-                "witness": _witness_entry(verdict),
-            })
+        return scene, [random_exterior_point(scene, seed=s + 1)]
+
+    _run_trials(report, seed, tol, draw)
     return report
 
 
@@ -188,24 +192,12 @@ def check_lower_bound(k: int, dim: int, trials: int, seed: int = 0,
     if k >= dim:
         raise BadDimension(f"lower-bound check needs k < dim, got k={k}, dim={dim}")
     report = PropertyReport(name=f"lower-bound-k{k}-dim{dim}", trials=trials, passes=0)
-    for trial, s in enumerate(_trial_seeds(seed, trials)):
+
+    def draw(s):
         scene = random_disjoint_balls(dim, k, s)
-        x = random_exterior_point(scene, seed=s + 1)
-        verdict = point_shadow(scene, x, tol)
-        if verdict.verdict == NOT_SHADOWED and verdict.margin is not None \
-                and verdict.margin > tol:
-            report.passes += 1
-        elif verdict.verdict == INDETERMINATE:
-            report.indeterminates += 1
-        else:
-            report.failures.append({
-                "trial": trial,
-                "seed": s,
-                "scene": scene_to_dict(scene),
-                "point": [float(c) for c in x],
-                "verdict": verdict.verdict,
-                "witness": _witness_entry(verdict),
-            })
+        return scene, [random_exterior_point(scene, seed=s + 1)]
+
+    _run_trials(report, seed, tol, draw)
     return report
 
 

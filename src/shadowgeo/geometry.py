@@ -1,12 +1,15 @@
 """Primitives for line-transversal geometry of ball families.
 
 Vectors are 1-D float numpy arrays and angles are radians throughout.
-The central reduction: seen from a point x strictly outside a ball with
-center c and radius r, the unit directions d whose line through x meets
-the ball form the band |d . u| >= cos(alpha), where u = (c - x)/|c - x|
-and alpha = arcsin(r / |c - x|).  Everything else in this package is
-built from that fact, from its restriction to tangent planes of the unit
-sphere, and from the spherical cap a ball cuts out of the unit sphere.
+Seen from a point x strictly outside a ball with center c and radius r,
+the unit directions d whose line through x meets the ball form the band
+|d . u| >= cos(alpha), where u = (c - x)/|c - x| and
+alpha = arcsin(r / |c - x|) (``ball_band``).  The shadow decisions in
+``shadow`` use the same fact in polar form, |d . p| >= 1 with
+p = u / cos(alpha).  The band, its restriction to tangent planes of the
+unit sphere (``tangent_arcs``) and the spherical cap a ball cuts out of
+the unit sphere (``ball_sphere_cap``, what ``spherecover`` covers) stay
+here as public helpers.
 """
 
 from __future__ import annotations

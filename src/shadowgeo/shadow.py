@@ -14,9 +14,11 @@ directions still allowed form a subspace with m orthonormal basis rows B:
   ball only when it is tangent to it.  A touching closed ball shadows x
   trivially.
 
-With q_i = B p_i, x is shadowed iff every unit u in R^m has some
-|u . q_i| >= 1, i.e. iff conv{+-q_i} contains the unit ball.  The
-decision depends only on m:
+Each is the null space, taken from one SVD, of the axes a candidate line
+must be orthogonal to: none outside the balls, x for tangent lines, and
+the touching axes on a boundary.  With q_i = B p_i, x is shadowed iff
+every unit u in R^m has some |u . q_i| >= 1, i.e. iff conv{+-q_i}
+contains the unit ball.  The decision depends only on m:
 
 - m = 0: no line is left ("boundary-pinched");
 - m = 1: the single candidate line is checked ball by ball, a tangent
@@ -36,7 +38,7 @@ Arc gaps and facet distances within tol of closing count as closed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,14 +47,11 @@ from .geometry import (
     CLOSED,
     TOL,
     BadDimension,
-    Band,
     DimensionUnsupported,
     PointInsideBall,
     Scene,
     as_vector,
-    ball_band,
     line_ball_clearance,
-    orthonormal_basis,
     unit,
 )
 
@@ -78,7 +77,8 @@ class ShadowVerdict:
     viewpoint excluded).  ``gap`` is the largest angular gap for the
     circle-based tests.  ``search_margin`` is the polar-hull test's
     dimensionless 1 - max_i |u . q_i| at its best direction u: positive
-    for a witness, at most tol otherwise.
+    for a witness, at most tol otherwise.  The balls' direction bands are
+    not part of the verdict; ``geometry.ball_band(x, ball)`` gives one.
     """
 
     verdict: str
@@ -86,7 +86,6 @@ class ShadowVerdict:
     witness_direction: np.ndarray | None = None
     margin: float | None = None
     gap: float | None = None
-    per_ball_bands: list[Band] = field(default_factory=list)
     trivial: bool = False
     boundary_index: int | None = None
     method: str = ""
@@ -121,11 +120,6 @@ class PlaneFrame:
         """Distance from p to the affine plane."""
         v = as_vector(p, self.point.size) - self.point
         return float(np.linalg.norm(v - self.basis.T @ (self.basis @ v)))
-
-
-def line_clearances(scene: Scene, x, d) -> np.ndarray:
-    """Per-ball clearance of the line through x with unit direction d."""
-    return np.array([line_ball_clearance(x, d, b) for b in scene.balls])
 
 
 def witness_clearance(scene: Scene, x, d, skip: tuple[int, ...] = ()) -> float:
@@ -195,22 +189,22 @@ def _polar_hull(q: np.ndarray, tol: float) -> tuple[np.ndarray, float] | None:
     return hull.equations[i, :-1], -float(hull.equations[i, -1])
 
 
-def _candidate_basis(basis: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the directions of ``basis`` orthogonal to every axis.
+def _free_directions(axes: np.ndarray, n: int) -> np.ndarray:
+    """Orthonormal rows spanning the directions of R^n orthogonal to every unit axis.
 
-    One axis in R^3 keeps the orthonormal_basis frame, as the tangent
-    question does, so witness angles on the tangent circle are reproducible.
+    The null space of the stacked axes, from their SVD; singular values
+    at most _SAME_AXIS count as zero, so nearly parallel axes constrain
+    as one.
     """
-    _, s, vt = np.linalg.svd(axes @ basis.T)
-    rank = int(np.count_nonzero(s > _SAME_AXIS))
-    if rank == 1 and basis.shape == (3, 3):
-        return np.stack(orthonormal_basis(axes[0]))
-    return vt[rank:] @ basis
+    if not len(axes):
+        return np.eye(n)
+    _, s, vt = np.linalg.svd(axes)
+    return vt[int(np.count_nonzero(s > _SAME_AXIS)):]
 
 
-def _decide(scene: Scene, x: np.ndarray, basis: np.ndarray, tol: float,
+def _decide(scene: Scene, x: np.ndarray, axes: np.ndarray, tol: float,
             circle_method: str) -> ShadowVerdict:
-    """Shadow decision over the lines through x with directions in the span of ``basis``."""
+    """Shadow decision over the lines through x orthogonal to every row of ``axes``."""
     v, dist, radii = _ball_vectors(scene, x, tol)
     touch = np.abs(dist - radii) <= tol
     touching = np.flatnonzero(touch).tolist()
@@ -220,9 +214,10 @@ def _decide(scene: Scene, x: np.ndarray, basis: np.ndarray, tol: float,
                              method="boundary-closed")
     boundary = touching[0] if touching else None
     if touching:
-        basis = _candidate_basis(basis, v[touch] / dist[touch, None])
+        axes = np.vstack([axes, v[touch] / dist[touch, None]])
         if circle_method == "arc-union":
             circle_method = "boundary-circle"
+    basis = _free_directions(axes, scene.dim)
     m = len(basis)
     method = {0: "boundary-pinched", 1: "boundary-candidate",
               2: circle_method}.get(m, "polar-hull")
@@ -264,14 +259,13 @@ def _decide(scene: Scene, x: np.ndarray, basis: np.ndarray, tol: float,
 def point_shadow(scene: Scene, x, tol: float = TOL) -> ShadowVerdict:
     """Exact shadow decision for a point in any dimension from 2 up.
 
-    The verdict carries the band of every ball as seen from x.
+    Every line through x is a candidate; on the boundary of open balls,
+    only the lines tangent to each touching ball.
     """
     x = as_vector(x, scene.dim)
     if scene.dim < 2:
         raise DimensionUnsupported(f"shadow decisions need dimension 2 or more, not {scene.dim}")
-    verdict = _decide(scene, x, np.eye(scene.dim), tol, "arc-union")
-    verdict.per_ball_bands = [ball_band(x, b, tol) for b in scene.balls]
-    return verdict
+    return _decide(scene, x, np.empty((0, scene.dim)), tol, "arc-union")
 
 
 def tangent_shadow(scene: Scene, x, tol: float = TOL) -> ShadowVerdict:
@@ -285,7 +279,8 @@ def tangent_shadow(scene: Scene, x, tol: float = TOL) -> ShadowVerdict:
     if scene.dim != 3:
         raise DimensionUnsupported("tangent shadows are defined on S^2 in R^3")
     x = unit(as_vector(x, 3))
-    return _decide(scene, x, np.stack(orthonormal_basis(x)), tol, "tangent")
+    # a line tangent to S^2 at x is a line through x orthogonal to x
+    return _decide(scene, x, x[None, :], tol, "tangent")
 
 
 def heuristic_shadow(scene: Scene, x, restarts: int = 64, seed: int = 0,

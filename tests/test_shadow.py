@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from shadowgeo.geometry import (
     DimensionUnsupported,
     PointInsideBall,
     Scene,
+    ball_band,
     unit,
 )
+from shadowgeo.sampling import fibonacci_sphere
 from shadowgeo.spherecover import COVERED, INDETERMINATE, CapSet, cover_sphere
 from shadowgeo.shadow import (
     NOT_SHADOWED,
@@ -29,7 +33,7 @@ from shadowgeo.shadow import (
     witness_clearance,
 )
 
-from oracles import line_hits, point_shadow_sampled
+from oracles import line_hits, point_shadow_sampled, tangent_gap_angles
 
 
 def three_discs_at_120(radius):
@@ -334,10 +338,68 @@ def test_tangent_shadow_on_a_ball_sphere_follows_topology():
     assert tangent_shadow(blocked, x).verdict == SHADOWED
 
 
+def outside_sphere_points(scene, n, count):
+    """The first ``count`` of n Fibonacci sphere points at least 1e-3 outside every ball."""
+    pts = fibonacci_sphere(n)
+    clear = np.min([np.linalg.norm(pts - b.center, axis=1) - b.radius for b in scene.balls], axis=0)
+    return pts[clear > 1e-3][:count]
+
+
+def longest_run(misses, n):
+    """Longest run of consecutive sweep steps among the missed angles, wrapping at pi."""
+    missed = {round(t * n / math.pi - 0.5) for t in misses}
+    if len(missed) == n:
+        return n
+    best = 0
+    for start in missed - {(i + 1) % n for i in missed}:
+        run = 0
+        while (start + run) % n in missed:
+            run += 1
+        best = max(best, run)
+    return best
+
+
+CUBE14 = build_cube14().scene
+RANDOM_SCENES = [random_equal_balls(3, 6, 0.45, seed=s, box=1.6) for s in (3, 17, 29)]
+TANGENT_CASES = (
+    [(CUBE14, unit([1.0, 1.0, 0.0])), (CUBE14, unit([0.3, 0.2, 1.0]))]
+    + [(CUBE14, x) for x in outside_sphere_points(CUBE14, 64, 5)]
+    + [(sc, x) for sc in RANDOM_SCENES for x in outside_sphere_points(sc, 16, 2)]
+)
+
+
+@pytest.mark.parametrize("scene, x", TANGENT_CASES)
+def test_tangent_verdicts_agree_with_sweep(scene, x):
+    n = 720
+    step = math.pi / n
+    v = tangent_shadow(scene, x)
+    misses = tangent_gap_angles(scene, x, n=n)
+    if v.verdict == SHADOWED:
+        assert not misses
+    else:
+        assert v.verdict == NOT_SHADOWED
+        assert abs(v.gap - longest_run(misses, n) * step) <= 2 * step
+
+
 def test_tangent_shadow_empty_scene():
     v = tangent_shadow(Scene(3, []), [0.0, 0.0, 1.0])
     assert v.verdict == NOT_SHADOWED
     assert v.gap == math.pi
+
+
+def test_shadow_decisions_load_no_scipy():
+    code = (
+        "import sys\n"
+        "import shadowgeo\n"
+        "sc2 = shadowgeo.build_lemma(1.0).scene\n"
+        "shadowgeo.point_shadow(sc2, [0.5, 0.28867513459481287])\n"
+        "shadowgeo.tangent_shadow(shadowgeo.build_cube14().scene, [1.0, 1.0, 0.0])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------ heuristic path
@@ -492,7 +554,8 @@ def shell_query(draw):
 def test_3d_verdicts_agree_with_band_cap_cover(case):
     sc, x = case
     v = point_shadow(sc, x)
-    caps = [Cap(s * b.axis, b.half_angle) for b in v.per_ball_bands for s in (1.0, -1.0)]
+    bands = [ball_band(x, b) for b in sc.balls]
+    caps = [Cap(s * b.axis, b.half_angle) for b in bands for s in (1.0, -1.0)]
     cov = cover_sphere(CapSet(caps))
     if cov.verdict == INDETERMINATE:
         return
