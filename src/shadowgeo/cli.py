@@ -161,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex2.add_argument("--tangent-grid", type=int, default=20000)
     ex2.add_argument("--area-samples", type=int, default=1_000_000)
     ex2.add_argument("--seed", type=int, default=0)
-    ex2.add_argument("--falsifier-grid", type=int, default=20000)
+    ex2.add_argument("--falsifier-grid", type=int, default=20000,
+                     help="ignored; kept for compatibility")
     ex2.add_argument("--csv")
 
     slc = sub.add_parser("slice", help="planar slice connectivity probe")
@@ -282,8 +283,7 @@ def _cmd_analyze_example2(args) -> RunResult:
     from .spherecover import INDETERMINATE as COVER_INDETERMINATE
 
     report = analyze_example2(tangent_grid=args.tangent_grid,
-                              area_samples=args.area_samples, seed=args.seed,
-                              falsifier_grid=args.falsifier_grid)
+                              area_samples=args.area_samples, seed=args.seed)
     if args.csv:
         report.write_csv(args.csv)
     code = 2 if report.sphere_coverage.verdict == COVER_INDETERMINATE else 0

@@ -126,8 +126,9 @@ def test_report_exit_codes_cover_failure_and_indeterminate():
 
 def test_analyze_example2_with_csv(tmp_path):
     out = tmp_path / "sweep.csv"
+    # --falsifier-grid is accepted and ignored, so even 0 runs
     res = dispatch(["analyze", "example2", "--tangent-grid", "500",
-                    "--area-samples", "20000", "--csv", str(out)])
+                    "--area-samples", "20000", "--falsifier-grid", "0", "--csv", str(out)])
     assert res.exit_code == 0
     assert res.payload["sphere_coverage"]["verdict"] == "uncovered"
     assert res.payload["tangent_failures"] >= 0
@@ -185,6 +186,28 @@ def test_main_rejects_bad_tolerance_with_exit_3(capsys, lemma_file, command, tol
     out = capsys.readouterr()
     assert json.loads(out.out.strip())["status"] == "error"
     assert "--tol" in out.err
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--eps", "nan"), ("--eps", "inf"), ("--eps", "-1"),
+    ("--grid-step", "nan"), ("--grid-step", "inf"),
+])
+def test_main_rejects_bad_lemma_grid_with_exit_3(capsys, option, value):
+    code = main(["verify", "lemma", option, value])
+    assert code == 3
+    out = capsys.readouterr()
+    assert json.loads(out.out.strip())["status"] == "error"
+    assert option.lstrip("-").replace("-", "_") in out.err
+
+
+@pytest.mark.parametrize("window", ["nan", "inf", "0"])
+def test_main_rejects_bad_slice_window_with_exit_3(capsys, octa_file, window):
+    code = main(["slice", "--scene", octa_file, "--plane-point", "0,0,0",
+                 "--plane-normal", "0,0,1", "--window", window, "--resolution", "64"])
+    assert code == 3
+    out = capsys.readouterr()
+    assert json.loads(out.out.strip())["status"] == "error"
+    assert "window" in out.err
 
 
 def test_shadow_check_dim4_is_exact(tmp_path):

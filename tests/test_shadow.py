@@ -393,7 +393,10 @@ def test_shadow_decisions_load_no_scipy():
         "import shadowgeo\n"
         "sc2 = shadowgeo.build_lemma(1.0).scene\n"
         "shadowgeo.point_shadow(sc2, [0.5, 0.28867513459481287])\n"
-        "shadowgeo.tangent_shadow(shadowgeo.build_cube14().scene, [1.0, 1.0, 0.0])\n"
+        "cube14 = shadowgeo.build_cube14().scene\n"
+        "shadowgeo.tangent_shadow(cube14, [1.0, 1.0, 0.0])\n"
+        "caps = shadowgeo.CapSet([shadowgeo.ball_sphere_cap(b) for b in cube14.balls])\n"
+        "assert shadowgeo.cover_sphere(caps).verdict == 'uncovered'\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -65,8 +65,8 @@ def test_margin_values():
 def test_falsify_hemisphere_finds_antipode():
     cs = CapSet([Cap(Z, math.pi / 2)])
     d, mu = falsify(cs)
-    assert mu == pytest.approx(1.0, abs=1e-6)
-    assert d[2] == pytest.approx(-1.0, abs=1e-6)
+    assert mu == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(d, -Z, rtol=0.0, atol=1e-12)
 
 
 def test_falsify_is_deterministic():
@@ -129,9 +129,32 @@ def test_octahedral_witness_is_a_diagonal():
     cs = CapSet([Cap(a, math.pi / 4) for a in OCTA_AXES])
     cov = cover_sphere(cs)
     assert cov.verdict == UNCOVERED
-    # the ascent polish lands near the exact optimum, not on it
-    assert cov.margin == pytest.approx(math.cos(math.pi / 4) - 1 / math.sqrt(3), abs=1e-3)
-    np.testing.assert_allclose(np.abs(cov.witness), 1 / math.sqrt(3), atol=1e-2)
+    assert cov.margin == pytest.approx(math.cos(math.pi / 4) - 1 / math.sqrt(3), abs=1e-12)
+    np.testing.assert_allclose(np.abs(cov.witness), 1 / math.sqrt(3), atol=1e-12)
+
+
+def test_octahedral_hole_just_above_tolerance_is_certified():
+    # the diagonal hole is sin(OCTA_DEPTH) * 2e-9 = 1.633e-9 deep, above tol = 1e-9
+    cs = CapSet([Cap(a, OCTA_DEPTH - 2e-9) for a in OCTA_AXES])
+    cov = cover_sphere(cs)
+    assert cov.verdict == UNCOVERED
+    assert cov.stage == "falsifier"
+    assert cov.margin == pytest.approx(math.sqrt(2.0 / 3.0) * 2e-9, rel=1e-4)
+    at_witness = sphere_point_margins([cov.witness], caps_data(cs))[0]
+    assert at_witness == pytest.approx(cov.margin, abs=1e-15)
+    assert at_witness > 1e-9
+
+
+def test_falsify_skips_pairs_sharing_an_axis():
+    # a . a rounds below 1 here, so CapSet keeps the nested cap beside the outer one
+    a = unit([0.3, -0.7, 0.2])
+    cs = CapSet([Cap(a, 1.0), Cap(a, 1.0 + 1e-10), Cap(-a, 0.5)])
+    assert len(cs) == 3
+    d, mu = falsify(cs)
+    # the optimum balances the outer cap against the opposite one
+    assert mu == pytest.approx((math.cos(1.0 + 1e-10) + math.cos(0.5)) / 2, abs=1e-12)
+    assert sphere_point_margins([d], caps_data(cs))[0] == pytest.approx(mu, abs=1e-15)
+    assert cover_sphere(cs).verdict == UNCOVERED
 
 
 def test_boundary_arcs_match_direct_membership():
@@ -187,6 +210,18 @@ def test_verdicts_agree_with_sampling_oracle(cs):
     elif cov.verdict == COVERED:
         ok, worst, mu = sphere_cover_sampled(caps_data(cs), n=20_000, seed=7)
         assert mu <= 1e-9
+
+
+_RANDOM_DIRECTIONS = np.random.default_rng(11).normal(size=(20_000, 3))
+_RANDOM_DIRECTIONS /= np.linalg.norm(_RANDOM_DIRECTIONS, axis=1)[:, None]
+
+
+@given(cap_sets())
+def test_falsify_beats_every_sampled_direction(cs):
+    d, mu = falsify(cs)
+    assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+    assert sphere_point_margins([d], caps_data(cs))[0] == pytest.approx(mu, abs=1e-15)
+    assert mu >= sphere_point_margins(_RANDOM_DIRECTIONS, caps_data(cs)).max() - 1e-12
 
 
 @given(cap_sets())
