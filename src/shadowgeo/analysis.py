@@ -31,7 +31,7 @@ from .geometry import (
     BadDimension,
     Scene,
     ball_sphere_cap,
-    pair_relation,
+    flat_clearances,
 )
 from .sampling import fibonacci_sphere
 from .sceneio import scene_to_dict
@@ -352,12 +352,12 @@ def analyze_example2(tangent_grid: int = 20000, area_samples: int = 1_000_000,
         raise ValueError("tangent_grid must be at least 100")
     cfg = build_cube14()
     scene = cfg.scene
-    relations = {"tangent": 0, "disjoint": 0, "overlapping": 0}
-    for i in range(14):
-        for j in range(i + 1, 14):
-            relations[pair_relation(scene.balls[i], scene.balls[j], 1e-12)] += 1
+    gaps = scene.pair_gaps()[np.triu_indices(len(scene), 1)]
+    tangent = int(np.count_nonzero(np.abs(gaps) <= 1e-12))
+    overlapping = int(np.count_nonzero(gaps < -1e-12))
     tangency = {
-        "pairs": relations,
+        "pairs": {"tangent": tangent, "disjoint": len(gaps) - tangent - overlapping,
+                  "overlapping": overlapping},
         "vertex_vertex_tangent": cfg.tangent_vertex_pairs,
         "vertex_face_tangent": cfg.tangent_face_pairs,
         "vertex_radius": cfg.vertex_radius,
@@ -369,10 +369,7 @@ def analyze_example2(tangent_grid: int = 20000, area_samples: int = 1_000_000,
     sample_count = int(round(area * area_samples / (4.0 * math.pi)))
 
     pts = fibonacci_sphere(tangent_grid)
-    centers = np.stack([b.center for b in scene.balls])
-    radii = np.array([b.radius for b in scene.balls])
-    clear = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2) - radii[None, :]
-    outside = pts[clear.min(axis=1) > 0.0]
+    outside = pts[flat_clearances(scene.centers, scene.radii, pts).min(axis=1) > 0.0]
     entries = []
     failures = []
     for p in outside:
@@ -416,18 +413,15 @@ def slice_connectivity(scene: Scene, plane: PlaneFrame, window: float,
         raise ValueError("window must be finite and positive")
     if scene.dim != 3 or plane.m != 2:
         raise BadDimension("slice probing needs a 2-plane in a 3-dimensional scene")
-    discs = []
-    for b in scene.balls:
-        h = plane.distance(b.center)
-        if h < b.radius:
-            v = b.center - plane.point
-            coeffs = plane.basis @ v
-            discs.append((coeffs, math.sqrt(b.radius**2 - h * h)))
+    h = flat_clearances(scene.centers, 0.0, plane.point, plane.basis)
+    cut = h < scene.radii
+    disc_centers = (scene.centers[cut] - plane.point) @ plane.basis.T
+    disc_radii = np.sqrt(scene.radii[cut] ** 2 - h[cut] ** 2)
     step = 2.0 * window / resolution
     axis = -window + step * (np.arange(resolution) + 0.5)
     gx, gy = np.meshgrid(axis, axis)
     blocked = np.zeros((resolution, resolution), dtype=bool)
-    for (cx, cy), r in discs:
+    for (cx, cy), r in zip(disc_centers.tolist(), disc_radii.tolist()):
         blocked |= (gx - cx) ** 2 + (gy - cy) ** 2 <= r * r
     labels, count = ndimage.label(~blocked)
     if count == 0:

@@ -239,7 +239,7 @@ def _cmd_plane_find(args) -> RunResult:
     }
     if frame is not None:
         payload["basis"] = frame.basis
-        payload["clearances"] = [frame.distance(b.center) - b.radius for b in scene.balls]
+        payload["clearances"] = scene.clearances(frame.point, frame.basis)
         code = 0
     else:
         code = 0 if exact else 2
@@ -301,10 +301,11 @@ def _cmd_slice(args) -> RunResult:
     normal = _parse_point(args.plane_normal, "plane-normal")
     if len(point) != 3 or len(normal) != 3:
         raise CliError("slice probing needs 3-coordinate --plane-point and --plane-normal")
-    try:
-        e1, e2 = orthonormal_basis(np.asarray(normal) / np.linalg.norm(normal))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    # hypot neither overflows nor underflows, so any nonzero finite normal scales to unit length
+    length = math.hypot(*normal)
+    if length == 0.0:
+        raise CliError("plane normal must be nonzero")
+    e1, e2 = orthonormal_basis(np.asarray(normal) / length)
     frame = PlaneFrame(point, np.stack([e1, e2]))
     components = slice_connectivity(scene, frame, args.window, args.resolution)
     payload = {

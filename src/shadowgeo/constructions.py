@@ -14,7 +14,7 @@ from .geometry import (
     GenerationFailed,
     InvariantViolation,
     Scene,
-    pair_relation,
+    flat_clearances,
 )
 from .sampling import sample_sphere
 
@@ -95,19 +95,13 @@ def build_cube14(topology: str = OPEN) -> Cube14Config:
             c[axis] = sign
             balls.append(Ball(c, r1, topology))
     scene = Scene(3, balls, label="cube14")
-    counts = {"vv_tangent": 0, "vf_tangent": 0, "ff_tangent": 0, "overlapping": 0}
-    for i in range(14):
-        for j in range(i + 1, 14):
-            rel = pair_relation(balls[i], balls[j], _CONSTRUCTION_TOL)
-            if rel == "overlapping":
-                counts["overlapping"] += 1
-            elif rel == "tangent":
-                if i < 8 and j < 8:
-                    counts["vv_tangent"] += 1
-                elif i >= 8 and j >= 8:
-                    counts["ff_tangent"] += 1
-                else:
-                    counts["vf_tangent"] += 1
+    i, j = np.triu_indices(14, 1)
+    gaps = scene.pair_gaps()[i, j]
+    # number of vertex balls (0, 1 or 2) in each tangent pair
+    ff, vf, vv = np.bincount(((i < 8).astype(int) + (j < 8))[np.abs(gaps) <= _CONSTRUCTION_TOL],
+                             minlength=3).tolist()
+    counts = {"vv_tangent": vv, "vf_tangent": vf, "ff_tangent": ff,
+              "overlapping": int(np.count_nonzero(gaps < -_CONSTRUCTION_TOL))}
     if counts != {"vv_tangent": 12, "vf_tangent": 24, "ff_tangent": 0, "overlapping": 0}:
         raise InvariantViolation(f"unexpected tangency structure: {counts}")
     return Cube14Config(scene=scene, vertex_radius=r, face_radius=r1,
@@ -125,12 +119,13 @@ def random_equal_balls(dim: int, k: int, radius: float, seed: int,
     if k < 0 or dim < 1 or radius <= 0:
         raise ValueError("need dim >= 1, k >= 0 and a positive radius")
     rng = np.random.default_rng(seed)
-    centers: list[np.ndarray] = []
-    rejections = 0
-    while len(centers) < k:
+    centers = np.empty((k, dim))
+    placed = rejections = 0
+    while placed < k:
         c = rng.uniform(-box, box, dim)
-        if all(np.linalg.norm(c - o) >= 2 * radius + min_gap for o in centers):
-            centers.append(c)
+        if (flat_clearances(centers[:placed], radius, c) >= radius + min_gap).all():
+            centers[placed] = c
+            placed += 1
         else:
             rejections += 1
             if rejections > _MAX_REJECTIONS:
@@ -149,19 +144,20 @@ def random_disjoint_balls(dim: int, k: int, seed: int,
     if k < 0 or dim < 1 or not 0 < lo <= hi:
         raise ValueError("need dim >= 1, k >= 0 and 0 < lo <= hi")
     rng = np.random.default_rng(seed)
-    placed: list[tuple[np.ndarray, float]] = []
-    rejections = 0
-    while len(placed) < k:
+    centers, radii = np.empty((k, dim)), np.empty(k)
+    placed = rejections = 0
+    while placed < k:
         r = rng.uniform(lo, hi)
         c = rng.uniform(-box, box, dim)
-        if all(np.linalg.norm(c - o) >= r + ro + min_gap for o, ro in placed):
-            placed.append((c, r))
+        if (flat_clearances(centers[:placed], radii[:placed], c) >= r + min_gap).all():
+            centers[placed], radii[placed] = c, r
+            placed += 1
         else:
             rejections += 1
             if rejections > _MAX_REJECTIONS:
                 raise GenerationFailed(
                     f"could not place {k} balls with radii in {radius_range}")
-    balls = [Ball(c, r, topology) for c, r in placed]
+    balls = [Ball(c, r, topology) for c, r in zip(centers, radii.tolist())]
     return Scene(dim, balls, label=f"random-{dim}d-k{k}-seed{seed}")
 
 
@@ -174,15 +170,11 @@ def boundary_sample(scene: Scene, ball_index: int, count: int, seed: int) -> lis
     """
     if not 0 <= ball_index < len(scene.balls):
         raise IndexError(f"ball index {ball_index} out of range")
-    b = scene.balls[ball_index]
     dirs = sample_sphere(count, seed, scene.dim)
-    pts = b.center[None, :] + b.radius * dirs
-    out = []
-    for p in pts:
-        if all(np.linalg.norm(p - o.center) > o.radius
-               for j, o in enumerate(scene.balls) if j != ball_index):
-            out.append(p)
-    return out
+    pts = scene.centers[ball_index] + scene.radii[ball_index] * dirs
+    clear = flat_clearances(scene.centers, scene.radii, pts)
+    clear[:, ball_index] = math.inf
+    return list(pts[clear.min(axis=1) > 0.0])
 
 
 def random_exterior_point(scene: Scene, seed: int, box: float = 6.0,

@@ -15,7 +15,7 @@ here as public helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,25 +117,46 @@ class Ball:
 
     def clearance(self, p) -> float:
         """Distance from p to the boundary sphere; negative inside."""
-        p = as_vector(p, self.dim)
-        return float(np.linalg.norm(p - self.center)) - self.radius
+        return float(flat_clearances(self.center[None, :], self.radius, as_vector(p, self.dim))[0])
 
     def contains(self, p, tol: float = 0.0) -> bool:
         c = self.clearance(p)
         return c < -tol if self.topology == OPEN else c <= tol
 
 
+def flat_clearances(centers: np.ndarray, radii, x: np.ndarray,
+                    basis: np.ndarray | None = None) -> np.ndarray:
+    """Clearance |v_i - B^T B v_i| - r_i, v_i = c_i - x, of each ball from the flat through x.
+
+    ``basis`` holds the flat's orthonormal direction rows B: none for the
+    point x, one for a line, m for an m-flat.  Negative where the flat cuts
+    into a ball.  Points x of shape (p, n) give a (p, k) table.  Each
+    ball's projection and length are one matrix-vector and one
+    vector-vector product, so every entry rounds as that ball alone would.
+    """
+    v = centers - x[..., None, :]
+    if basis is not None:
+        v = v - (basis.T @ (basis @ v[..., None]))[..., 0]
+    return np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0]) - radii
+
+
 @dataclass(eq=False)
 class Scene:
     """A finite family of same-dimension balls, expected pairwise disjoint.
 
-    Disjointness is checked, not enforced: callers decide what to do with
-    the offending pairs reported by :meth:`disjointness_violations`.
+    The balls are fixed at construction, which stacks them into
+    ``centers`` (k, n), ``radii`` (k,) and the ``closed`` mask (k,) that
+    every clearance question reads.  Disjointness is checked, not
+    enforced: callers decide what to do with the offending pairs reported
+    by :meth:`disjointness_violations`.
     """
 
     dim: int
     balls: list[Ball]
     label: str = ""
+    centers: np.ndarray = field(init=False, repr=False)
+    radii: np.ndarray = field(init=False, repr=False)
+    closed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -143,24 +164,33 @@ class Scene:
         for i, b in enumerate(self.balls):
             if b.dim != self.dim:
                 raise ValueError(f"ball {i} has dimension {b.dim}, scene has {self.dim}")
+        self.centers = np.array([b.center for b in self.balls], dtype=float).reshape(-1, self.dim)
+        self.radii = np.array([b.radius for b in self.balls], dtype=float)
+        self.closed = np.array([b.topology == CLOSED for b in self.balls], dtype=bool)
 
     def __len__(self) -> int:
         return len(self.balls)
 
-    def clearances(self, x) -> np.ndarray:
-        """Per-ball distance from x to the boundary sphere (negative inside)."""
+    def clearances(self, x, basis=None) -> np.ndarray:
+        """Per-ball clearance from the flat through x spanned by ``basis``.
+
+        No basis measures from the point x, one row from a line, m
+        orthonormal rows from an m-flat; see :func:`flat_clearances`.
+        """
         x = as_vector(x, self.dim)
-        return np.array([b.clearance(x) for b in self.balls])
+        return flat_clearances(self.centers, self.radii, x,
+                               None if basis is None else np.atleast_2d(np.asarray(basis, float)))
+
+    def pair_gaps(self) -> np.ndarray:
+        """(k, k) table of |c_i - c_j| - (r_i + r_j): 0 when tangent, negative when overlapping."""
+        c = self.centers
+        return np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1) \
+            - (self.radii[:, None] + self.radii[None, :])
 
     def disjointness_violations(self, tol: float = TOL) -> list[tuple[int, int]]:
-        """Index pairs whose balls overlap by more than tol."""
-        bad = []
-        for i in range(len(self.balls)):
-            for j in range(i + 1, len(self.balls)):
-                gap = float(np.linalg.norm(self.balls[i].center - self.balls[j].center))
-                if gap < self.balls[i].radius + self.balls[j].radius - tol:
-                    bad.append((i, j))
-        return bad
+        """Index pairs i < j whose balls overlap by more than tol."""
+        i, j = np.nonzero(np.triu(self.pair_gaps() < -tol, 1))
+        return list(zip(i.tolist(), j.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,25 +320,20 @@ def tangent_arcs(x, ball: Ball, tol: float = TOL) -> list[Arc]:
 
 def pair_relation(b1: Ball, b2: Ball, tol: float = TOL) -> str:
     """Classify two balls as 'disjoint', 'tangent', or 'overlapping'."""
-    if b1.dim != b2.dim:
-        raise ValueError("balls live in different dimensions")
-    gap = float(np.linalg.norm(b1.center - b2.center)) - (b1.radius + b2.radius)
+    gap = float(Scene(b1.dim, [b1, b2]).pair_gaps()[0, 1])
     if abs(gap) <= tol:
         return "tangent"
     return "overlapping" if gap < 0 else "disjoint"
 
 
-def line_point_distance(x, d, p) -> float:
-    """Distance from p to the line through x with unit direction d."""
-    x = as_vector(x)
-    d = as_vector(d, x.size)
-    w = as_vector(p, x.size) - x
-    return float(np.linalg.norm(w - float(w @ d) * d))
-
-
 def line_ball_clearance(x, d, ball: Ball) -> float:
-    """Distance from the line (x, d) to the ball surface; negative when it cuts in."""
-    return line_point_distance(x, d, ball.center) - ball.radius
+    """Distance from the line through x with unit direction d to the ball surface.
+
+    Negative when the line cuts into the ball.
+    """
+    x = as_vector(x, ball.dim)
+    d = as_vector(d, ball.dim)
+    return float(flat_clearances(ball.center[None, :], ball.radius, x, d[None, :])[0])
 
 
 def line_hits_ball(x, d, ball: Ball, tol: float = 0.0) -> bool:

@@ -39,11 +39,16 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    """An int or float, but not a bool (JSON true/false load as bool, a subclass of int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def scene_from_dict(doc: dict) -> Scene:
     if not isinstance(doc, dict):
         raise SceneFormatError("scene document must be a JSON object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SceneFormatError(f"'dim' must be a positive integer, got {dim!r}")
     label = doc.get("label", "")
     if not isinstance(label, str):
@@ -57,10 +62,10 @@ def scene_from_dict(doc: dict) -> Scene:
             raise SceneFormatError(f"ball {i} must be an object")
         center = rb.get("center")
         if (not isinstance(center, list) or len(center) != dim
-                or not all(isinstance(c, (int, float)) and math.isfinite(c) for c in center)):
+                or not all(_is_number(c) and math.isfinite(c) for c in center)):
             raise SceneFormatError(f"ball {i}: 'center' must be {dim} finite numbers")
         radius = rb.get("radius")
-        if not isinstance(radius, (int, float)) or not math.isfinite(radius) or radius <= 0:
+        if not _is_number(radius) or not math.isfinite(radius) or radius <= 0:
             raise SceneFormatError(f"ball {i}: 'radius' must be a positive finite number")
         topology = rb.get("topology", "closed")
         if topology not in _TOPOLOGIES:

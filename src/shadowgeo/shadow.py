@@ -44,14 +44,13 @@ import numpy as np
 
 from .circlecover import PERIOD_LINE, Arc, ArcSet, cover_circle
 from .geometry import (
-    CLOSED,
     TOL,
     BadDimension,
     DimensionUnsupported,
     PointInsideBall,
     Scene,
     as_vector,
-    line_ball_clearance,
+    flat_clearances,
     unit,
 )
 
@@ -118,32 +117,26 @@ class PlaneFrame:
 
     def distance(self, p) -> float:
         """Distance from p to the affine plane."""
-        v = as_vector(p, self.point.size) - self.point
-        return float(np.linalg.norm(v - self.basis.T @ (self.basis @ v)))
+        p = as_vector(p, self.point.size)
+        return float(flat_clearances(p[None, :], 0.0, self.point, self.basis)[0])
 
 
 def witness_clearance(scene: Scene, x, d, skip: tuple[int, ...] = ()) -> float:
     """Smallest line-ball clearance over the scene, ignoring ``skip`` indices."""
-    vals = [
-        line_ball_clearance(x, d, b)
-        for i, b in enumerate(scene.balls)
-        if i not in skip
-    ]
-    return min(vals) if vals else math.inf
+    return float(np.min(np.delete(scene.clearances(x, d), list(skip)), initial=math.inf))
 
 
 def _ball_vectors(scene: Scene, x: np.ndarray, tol: float):
-    """Centre offsets c_i - x, their lengths and the radii, as arrays.
+    """Centre offsets c_i - x, their lengths and the point clearances, as arrays.
 
     Raises PointInsideBall when x is inside some ball by more than tol.
     """
-    v = np.array([b.center for b in scene.balls], dtype=float).reshape(-1, scene.dim) - x
-    dist = np.linalg.norm(v, axis=1)
-    radii = np.array([b.radius for b in scene.balls], dtype=float)
-    inside = np.flatnonzero(dist - radii < -tol)
+    clear = scene.clearances(x)
+    inside = np.flatnonzero(clear < -tol)
     if inside.size:
         raise PointInsideBall(int(inside[0]))
-    return v, dist, radii
+    v = scene.centers - x
+    return v, np.linalg.norm(v, axis=1), clear
 
 
 def _polar_arcs(q: np.ndarray) -> ArcSet:
@@ -153,16 +146,6 @@ def _polar_arcs(q: np.ndarray) -> ArcSet:
         if n >= 1.0:
             arcs.append(Arc(math.atan2(q2, q1), math.acos(1.0 / n), PERIOD_LINE))
     return ArcSet(PERIOD_LINE, arcs)
-
-
-def shadow_arcs_2d(scene: Scene, x, tol: float = TOL) -> ArcSet:
-    """Period-pi arcs of line directions through x hitting each disc.
-
-    Assumes x strictly outside every disc; arc centers are the polar
-    angles of the center directions and half-widths arcsin(r/dist).
-    """
-    v, dist, radii = _ball_vectors(scene, as_vector(x, 2), tol)
-    return _polar_arcs(v / np.sqrt((dist - radii) * (dist + radii))[:, None])
 
 
 def _polar_hull(q: np.ndarray, tol: float) -> tuple[np.ndarray, float] | None:
@@ -205,12 +188,12 @@ def _free_directions(axes: np.ndarray, n: int) -> np.ndarray:
 def _decide(scene: Scene, x: np.ndarray, axes: np.ndarray, tol: float,
             circle_method: str) -> ShadowVerdict:
     """Shadow decision over the lines through x orthogonal to every row of ``axes``."""
-    v, dist, radii = _ball_vectors(scene, x, tol)
-    touch = np.abs(dist - radii) <= tol
+    v, dist, clear = _ball_vectors(scene, x, tol)
+    touch = np.abs(clear) <= tol
     touching = np.flatnonzero(touch).tolist()
-    closed = [i for i in touching if scene.balls[i].topology == CLOSED]
-    if closed:
-        return ShadowVerdict(SHADOWED, trivial=True, boundary_index=closed[0],
+    closed = np.flatnonzero(touch & scene.closed)
+    if closed.size:
+        return ShadowVerdict(SHADOWED, trivial=True, boundary_index=int(closed[0]),
                              method="boundary-closed")
     boundary = touching[0] if touching else None
     if touching:
@@ -222,17 +205,16 @@ def _decide(scene: Scene, x: np.ndarray, axes: np.ndarray, tol: float,
     method = {0: "boundary-pinched", 1: "boundary-candidate",
               2: circle_method}.get(m, "polar-hull")
     free = ~touch
-    pw = (dist[free] - radii[free]) * (dist[free] + radii[free])
+    # the power |c_i - x|^2 - r_i^2 of x with respect to each free ball
+    pw = (dist[free] - scene.radii[free]) * (dist[free] + scene.radii[free])
     q = (v[free] / np.sqrt(pw)[:, None]) @ basis.T
     gap = search_margin = None
     if m == 0:
         return ShadowVerdict(SHADOWED, boundary_index=boundary, method=method)
     if m == 1:
-        for j in np.flatnonzero(free).tolist():
-            b = scene.balls[j]
-            c = line_ball_clearance(x, basis[0], b)
-            if c < -tol or (c <= tol and b.topology == CLOSED):
-                return ShadowVerdict(SHADOWED, boundary_index=boundary, method=method)
+        c = scene.clearances(x, basis)[free]
+        if np.any((c < -tol) | ((c <= tol) & scene.closed[free])):
+            return ShadowVerdict(SHADOWED, boundary_index=boundary, method=method)
         u = np.ones(1)
     elif m == 2:
         cov = cover_circle(_polar_arcs(q), tol)
@@ -309,19 +291,16 @@ def find_avoiding_plane(scene: Scene, x, m: int, restarts: int = 64, seed: int =
     n = scene.dim
     if not 1 <= m <= n - 1:
         raise BadDimension(f"plane dimension m must satisfy 1 <= m <= {n - 1}, got {m}")
-    v, _, radii = _ball_vectors(scene, x, tol)
+    v = _ball_vectors(scene, x, tol)[0]
     if m == 1:
         verdict = point_shadow(scene, x, tol)
         if verdict.verdict == NOT_SHADOWED:
             return PlaneFrame(x, verdict.witness_direction[None, :])
         return None
-    if not scene.balls:
-        frame = np.zeros((m, n))
-        for i in range(m):
-            frame[i, i] = 1.0
-        return PlaneFrame(x, frame)
+    if not len(scene):
+        return PlaneFrame(x, np.eye(m, n))
     norm2 = (v * v).sum(axis=1)
-    r2 = radii * radii
+    r2 = scene.radii * scene.radii
 
     def objective(w: np.ndarray) -> tuple[float, int]:
         proj = v @ w
@@ -354,7 +333,6 @@ def find_avoiding_plane(scene: Scene, x, m: int, restarts: int = 64, seed: int =
     if best_w is None:
         return None
     frame = PlaneFrame(x, best_w.T)
-    clear = [frame.distance(b.center) - b.radius for b in scene.balls]
-    if min(clear) > tol:
+    if scene.clearances(x, frame.basis).min() > tol:
         return frame
     return None

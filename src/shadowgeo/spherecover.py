@@ -36,7 +36,10 @@ _TRIPLE_BLOCK = 4096
 def _cap_contains_cap(outer: Cap, inner: Cap) -> bool:
     if outer.is_full:
         return True
-    ang = math.acos(min(max(float(outer.axis @ inner.axis), -1.0), 1.0))
+    (a1, a2, a3), (b1, b2, b3) = outer.axis.tolist(), inner.axis.tolist()
+    # atan2(|a x b|, a . b) is exact near 0, where acos(a . b) is off by about 1e-8
+    ang = math.atan2(math.hypot(a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1),
+                     a1 * b1 + a2 * b2 + a3 * b3)
     return ang + inner.angular_radius <= outer.angular_radius + _CONTAIN_TOL
 
 
@@ -162,11 +165,10 @@ def falsify(caps: CapSet, tol: float = TOL) -> tuple[np.ndarray, float]:
     it for antipodal axes, where the margin is constant along the circle);
     for each triple, the two points where the line of equal margins meets
     S^2.  No three distinct unit axes are collinear, so that line is defined
-    unless two axes coincide.  ``CapSet`` drops contained caps, but its
-    angle test rounds, so two caps may keep the same axis: their
-    equal-margin set is empty (one never binds) or the whole sphere (they
-    bind together), so their non-finite candidates are skipped and the
-    rest still contain the optimum.
+    unless two axes coincide, and they do not: ``CapSet`` drops every cap
+    contained in another, so two kept caps lie more than 1e-12 rad apart.
+    Candidates that still come out non-finite are skipped, and the rest
+    still contain the optimum.
     Candidates whose circle or line misses S^2 are clipped onto it; every
     candidate is normalised and scored by mu itself, so none can report
     more than its true margin.  The caller decides whether mu > tol

@@ -27,6 +27,24 @@ def line_ball_min_distance(x, d, center, radius) -> float:
     return float(res.fun) - radius
 
 
+def flat_ball_clearances(x, basis, centers, radii) -> np.ndarray:
+    """Distance from the flat x + span(basis rows) to each ball's sphere, by least squares.
+
+    The foot of each centre on the flat comes from lstsq on the basis
+    columns, so the basis need not be orthonormal; no basis (or no rows)
+    measures from the point x.
+    """
+    x = np.asarray(x, dtype=float)
+    out = []
+    for c, r in zip(np.asarray(centers, dtype=float), radii):
+        w = c - x
+        if basis is not None and len(basis):
+            a = np.asarray(basis, dtype=float).T
+            w = w - a @ np.linalg.lstsq(a, w, rcond=None)[0]
+        out.append(float(np.sqrt(np.sum(w * w))) - float(r))
+    return np.array(out)
+
+
 def line_hits(x, d, center, radius, closed=True, tol=0.0) -> bool:
     clear = line_ball_min_distance(x, d, center, radius)
     if closed:

@@ -210,6 +210,34 @@ def test_main_rejects_bad_slice_window_with_exit_3(capsys, octa_file, window):
     assert "window" in out.err
 
 
+def test_main_rejects_zero_slice_normal_with_exit_3(capsys, octa_file):
+    code = main(["slice", "--scene", octa_file, "--plane-point", "0,0,0",
+                 "--plane-normal", "0,0,0", "--window", "2", "--resolution", "64"])
+    assert code == 3
+    out = capsys.readouterr()
+    assert json.loads(out.out.strip())["status"] == "error"
+    assert "plane normal must be nonzero" in out.err
+    assert "Warning" not in out.err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dim", True), ("center", [0.0, True]), ("radius", True),
+])
+def test_main_rejects_boolean_scene_numbers_with_exit_3(capsys, tmp_path, field, value):
+    doc = {"dim": 2, "balls": [{"center": [3.0, 0.0], "radius": 1.0}]}
+    if field == "dim":
+        doc["dim"] = value
+    else:
+        doc["balls"][0][field] = value
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code = main(["shadow", "check", "--scene", str(path), "--point", "0,0"])
+    assert code == 3
+    out = capsys.readouterr()
+    assert json.loads(out.out.strip())["status"] == "error"
+    assert f"'{field}'" in out.err
+
+
 def test_shadow_check_dim4_is_exact(tmp_path):
     doc = {"dim": 4, "balls": [{"center": [3.0, 0.0, 0.0, 0.0], "radius": 1.0},
                                {"center": [0.0, 3.0, 0.0, 0.0], "radius": 1.0}]}

@@ -24,7 +24,7 @@ from shadowgeo.geometry import (
     unit,
 )
 
-from oracles import line_ball_min_distance, line_hits
+from oracles import flat_ball_clearances, line_ball_min_distance, line_hits
 
 finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
@@ -72,6 +72,62 @@ def test_scene_checks_dimensions_and_overlaps():
     assert sc.disjointness_violations() == [(0, 1)]
     assert len(sc) == 3
     np.testing.assert_allclose(sc.clearances([0.0, 0.0]), [-1.0, 0.5, math.hypot(9, 9) - 1])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_scene_clearances_match_least_squares(dim, m):
+    rng = np.random.default_rng(100 * dim + m)
+    for _ in range(20):
+        k = int(rng.integers(1, 8))
+        centers = rng.normal(size=(k, dim)) * 5.0
+        radii = rng.uniform(0.1, 2.0, k)
+        sc = Scene(dim, [Ball(c, r) for c, r in zip(centers, radii)])
+        x = rng.normal(size=dim)
+        basis = np.linalg.qr(rng.normal(size=(dim, m)))[0].T if m else None
+        got = sc.clearances(x, basis)
+        want = flat_ball_clearances(x, basis, centers, radii)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * (1 + np.abs(want).max()))
+        # the batch rounds exactly as the same formula for each ball alone
+        for b, g in zip(sc.balls, got):
+            w = b.center - x
+            if m:
+                w = w - basis.T @ (basis @ w)
+            assert g == np.linalg.norm(w) - b.radius
+            if m == 1:
+                assert line_ball_clearance(x, basis[0], b) == g
+            if m == 0:
+                assert b.clearance(x) == g
+
+
+def test_pair_gaps_and_violations_with_overlap_and_exact_tangency():
+    # balls 0 and 1 touch exactly, 2 and 3 overlap by 0.5
+    sc = Scene(2, [Ball([0.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0),
+                   Ball([5.0, 0.0], 1.5), Ball([7.0, 0.0], 1.0)])
+    gaps = sc.pair_gaps()
+    assert gaps.shape == (4, 4)
+    np.testing.assert_array_equal(gaps, gaps.T)
+    np.testing.assert_array_equal(np.diag(gaps), -2.0 * sc.radii)
+    assert gaps[0, 1] == 0.0
+    assert gaps[2, 3] == -0.5
+    assert gaps[0, 2] == 2.5
+    for tol in (0.0, 1e-9):
+        assert sc.disjointness_violations(tol) == [(2, 3)]
+    assert sc.disjointness_violations(0.5) == []
+    assert pair_relation(sc.balls[0], sc.balls[1], 0.0) == "tangent"
+
+
+def test_scene_arrays_are_built_once_from_the_balls():
+    sc = Scene(3, [Ball([1.0, 2.0, 3.0], 0.5, OPEN), Ball([-4.0, 0.0, 1.0], 1.5)])
+    np.testing.assert_array_equal(sc.centers, [[1.0, 2.0, 3.0], [-4.0, 0.0, 1.0]])
+    np.testing.assert_array_equal(sc.radii, [0.5, 1.5])
+    np.testing.assert_array_equal(sc.closed, [False, True])
+    empty = Scene(4, [])
+    assert empty.centers.shape == (0, 4)
+    assert empty.clearances(np.zeros(4)).shape == (0,)
+    assert empty.disjointness_violations() == []
+    with pytest.raises(ValueError):
+        sc.clearances([0.0, 0.0, 0.0], [[1.0, 0.0]])
 
 
 def test_band_validation_and_membership():

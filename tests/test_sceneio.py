@@ -59,6 +59,10 @@ def test_topology_defaults_to_closed():
         {"dim": 2, "balls": [{"center": [1.0, 2.0], "radius": -1.0}]},
         {"dim": 2, "balls": [{"center": [1.0, 2.0], "radius": "big"}]},
         {"dim": 2, "balls": [{"center": [1.0, 2.0], "radius": 1.0, "topology": "both"}]},
+        # JSON booleans load as bool, a subclass of int
+        {"dim": True, "balls": [{"center": [1.0], "radius": 1.0}]},
+        {"dim": 2, "balls": [{"center": [1.0, False], "radius": 1.0}]},
+        {"dim": 2, "balls": [{"center": [1.0, 2.0], "radius": True}]},
     ],
 )
 def test_malformed_documents_rejected(doc):

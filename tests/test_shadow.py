@@ -28,7 +28,6 @@ from shadowgeo.shadow import (
     find_avoiding_plane,
     heuristic_shadow,
     point_shadow,
-    shadow_arcs_2d,
     tangent_shadow,
     witness_clearance,
 )
@@ -149,12 +148,14 @@ def test_boundary_two_opposite_open_discs():
     assert v.margin == math.inf
 
 
-def test_shadow_arcs_2d_widths():
+def test_point_shadow_2d_arc_gap():
+    # arcs of half-width asin(1/2) about 0 and asin(1/5) about pi/2 leave two
+    # equal gaps of pi/3 - asin(1/5) on the period-pi circle of line directions
     sc = Scene(2, [Ball([2.0, 0.0], 1.0), Ball([0.0, 5.0], 1.0)])
-    arcs = shadow_arcs_2d(sc, [0.0, 0.0])
-    assert arcs.arcs[0].half_width == pytest.approx(math.asin(0.5))
-    assert arcs.arcs[1].half_width == pytest.approx(math.asin(0.2))
-    assert arcs.arcs[1].center == pytest.approx(math.pi / 2)
+    v = point_shadow(sc, [0.0, 0.0])
+    assert v.verdict == NOT_SHADOWED
+    assert v.method == "arc-union"
+    assert v.gap == pytest.approx(math.pi / 3 - math.asin(0.2), abs=1e-12)
 
 
 # ---------------------------------------------------------------- dimension 3

@@ -145,11 +145,18 @@ def test_octahedral_hole_just_above_tolerance_is_certified():
     assert at_witness > 1e-9
 
 
+def test_capset_drops_a_nested_cap_on_the_same_axis():
+    # a . a rounds below 1 here; acos of it would put the axes 1.5e-8 apart
+    a = unit([0.3, -0.7, 0.2])
+    cs = CapSet([Cap(a, 1.0), Cap(a, 1.0 + 1e-10)])
+    assert len(cs) == 1
+    assert cs.caps[0].angular_radius == 1.0 + 1e-10
+
+
 def test_falsify_skips_pairs_sharing_an_axis():
-    # a . a rounds below 1 here, so CapSet keeps the nested cap beside the outer one
     a = unit([0.3, -0.7, 0.2])
     cs = CapSet([Cap(a, 1.0), Cap(a, 1.0 + 1e-10), Cap(-a, 0.5)])
-    assert len(cs) == 3
+    assert len(cs) == 2
     d, mu = falsify(cs)
     # the optimum balances the outer cap against the opposite one
     assert mu == pytest.approx((math.cos(1.0 + 1e-10) + math.cos(0.5)) / 2, abs=1e-12)
