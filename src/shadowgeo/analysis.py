@@ -47,7 +47,6 @@ from .spherecover import (
     CapSet,
     SphereCoverage,
     cover_sphere,
-    margin,
     uncovered_area_estimate,
 )
 

@@ -1,7 +1,9 @@
-"""Arc unions on a circle: merge-based coverage with gap witnesses.
+"""Arc unions on a circle: one arc rule, and coverage with gap witnesses.
 
 Arcs live on a circle of period pi (undirected line directions) or 2*pi
-(oriented directions, boundary-circle parameters).  Coverage fuses gaps
+(oriented directions, boundary-circle parameters).  Every arc the package
+builds, for shadow decisions, tangent lines and cap boundary circles,
+comes from one rule, :func:`threshold_arcs`.  Coverage fuses gaps
 shorter than ``tol`` so that exact-tangency unions count as covered
 instead of leaking hairline float gaps.
 """
@@ -10,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 PERIOD_LINE = math.pi
 PERIOD_CIRCLE = math.tau
@@ -21,7 +25,7 @@ _PERIODS = (PERIOD_LINE, PERIOD_CIRCLE)
 
 def _snap_period(p: float) -> float:
     for q in _PERIODS:
-        if math.isclose(p, q, rel_tol=1e-12):
+        if p == q or math.isclose(p, q, rel_tol=1e-12):
             return q
     raise ValueError(f"period must be pi or 2*pi, got {p!r}")
 
@@ -80,6 +84,26 @@ class ArcSet:
         return len(self.arcs)
 
 
+def threshold_arcs(w: np.ndarray, s: np.ndarray, period: float) -> ArcSet:
+    """One arc per row j: the angles t with (cos t, sin t) . w_j >= s_j.
+
+    ``w`` is (k, 2), ``s`` is (k,).  The arc is centred at atan2(w_j) with
+    half-width acos(s_j / |w_j|): the whole circle if s_j <= -|w_j|, none
+    if s_j > |w_j|, so w_j = 0 never divides.  On the period-pi circle t
+    and t + pi are one direction.  Angles come from ``math``: numpy's
+    arctan2 and arccos can differ in the last bit and move printed gaps.
+    """
+    # np.linalg.norm's sum of squares, bit for bit, without its dispatch cost
+    norms = np.sqrt((w * w).sum(axis=1)).tolist()
+    arcs = []
+    for (w1, w2), n, sj in zip(w.tolist(), norms, s.tolist()):
+        if sj <= -n:
+            arcs.append(Arc(0.0, period / 2, period))
+        elif sj <= n:
+            arcs.append(Arc(math.atan2(w2, w1), math.acos(sj / n), period))
+    return ArcSet(period, arcs)
+
+
 @dataclass(frozen=True)
 class CircleCoverage:
     """Outcome of a circle coverage decision.
@@ -100,12 +124,12 @@ def _gaps(arcset: ArcSet, tol: float) -> list[tuple[float, float]]:
     Ends may exceed the period for the single gap that wraps through 0.
     """
     period = arcset.period
-    if any(a.is_full for a in arcset.arcs):
-        return []
     intervals: list[tuple[float, float]] = []
     for a in arcset.arcs:
+        if a.half_width >= period / 2:
+            return []
         lo = (a.center - a.half_width) % period
-        hi = lo + a.length
+        hi = lo + 2.0 * a.half_width
         if hi <= period:
             intervals.append((lo, hi))
         else:
@@ -159,6 +183,4 @@ def uncovered_arcs(arcs: ArcSet, tol: float = TOL) -> list[Arc]:
 
 def uncovered_measure(arcs: ArcSet, tol: float = TOL) -> float:
     """Total angular length not covered by the union (0 iff covered)."""
-    if not arcs.arcs:
-        return arcs.period
     return sum(e - s for s, e in _gaps(arcs, tol))

@@ -56,15 +56,33 @@ def _parse_point(text: str, what: str = "point") -> list[float]:
     return coords
 
 
-def _tolerance(text: str) -> float:
-    """argparse type for --tol: a finite number >= 0."""
-    try:
-        tol = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"could not parse {text!r} as a number") from exc
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return tol
+def _checked(parse, noun: str, ok, rule: str):
+    """An argparse type: ``parse`` the text as a ``noun`` and require ``ok`` of it."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"could not parse {text!r} as {noun}") from exc
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return convert
+
+
+_tolerance = _checked(float, "a number", lambda t: math.isfinite(t) and t >= 0.0,
+                      "finite and >= 0")
+_count = _checked(int, "an integer", lambda n: n >= 1, "a positive integer")
+
+
+def _attach_coordinates(argv: list[str]) -> list[str]:
+    """Join each coordinate option to its value, since argparse reads ``-1,0.4`` as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--point", "--plane-point", "--plane-normal"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _jsonable(obj):
@@ -122,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     find.add_argument("--scene", required=True)
     find.add_argument("--point", required=True)
     find.add_argument("--m", type=int, required=True)
-    find.add_argument("--restarts", type=int, default=64)
+    find.add_argument("--restarts", type=_count, default=64)
     find.add_argument("--seed", type=int, default=0)
     find.add_argument("--tol", type=_tolerance, default=1e-9)
 
@@ -147,12 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
     v_lemma.add_argument("--eps", type=float, default=1e-6)
     for name in ("theorem3", "theorem4"):
         v = verify_sub.add_parser(name)
-        v.add_argument("--trials", type=int, default=500)
+        v.add_argument("--trials", type=_count, default=500)
         v.add_argument("--seed", type=int, default=0)
     v_lb = verify_sub.add_parser("lower-bound")
     v_lb.add_argument("--k", type=int, required=True)
     v_lb.add_argument("--dim", type=int, required=True)
-    v_lb.add_argument("--trials", type=int, default=500)
+    v_lb.add_argument("--trials", type=_count, default=500)
     v_lb.add_argument("--seed", type=int, default=0)
 
     analyze = sub.add_parser("analyze", help="configuration analyses")
@@ -323,7 +341,7 @@ def _cmd_slice(args) -> RunResult:
 def dispatch(argv: list[str]) -> RunResult:
     """Parse argv and run one subcommand, returning the result payload."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_coordinates(argv))
     if args.command == "shadow":
         result = _cmd_shadow_check(args) if args.subcommand == "check" \
             else _cmd_shadow_tangent(args)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circlecover import PERIOD_LINE, Arc
+from .circlecover import PERIOD_LINE, Arc, threshold_arcs
 
 TOL = 1e-9
 """Default predicate tolerance; scene coordinates are assumed |x| <~ 1e2."""
@@ -274,13 +274,15 @@ def ball_sphere_cap(ball: Ball) -> Cap:
     """Intersection of a ball with the unit sphere about the origin, as a cap.
 
     cos(beta) = (|c|^2 + 1 - r^2) / (2 |c|); values above 1 give the empty
-    cap, below -1 the full sphere.  A ball centered at the origin is a
-    special case: it meets the sphere iff its radius reaches 1.
+    cap, below -1 the full sphere.  A centre that rounds to the origin
+    (1 + |c| == 1) counts as the origin, where the ball meets the sphere
+    iff its radius reaches 1: ``Ball.clearance`` cannot tell its sphere
+    from the unit sphere, and below about 1e-154 c / |c| underflows.
     """
     if ball.dim != 3:
         raise DimensionUnsupported("caps are defined on the unit sphere in R^3")
     n = float(np.linalg.norm(ball.center))
-    if n < 1e-300:
+    if 1.0 + n == 1.0:
         reaches = ball.radius > 1.0 or (ball.radius >= 1.0 and ball.topology == CLOSED)
         return Cap(np.array([0.0, 0.0, 1.0]), math.pi if reaches else 0.0, ball.topology)
     q = (n * n + 1.0 - ball.radius * ball.radius) / (2.0 * n)
@@ -294,13 +296,11 @@ def ball_sphere_cap(ball: Ball) -> Cap:
 def tangent_arcs(x, ball: Ball, tol: float = TOL) -> list[Arc]:
     """Tangent directions at a unit-sphere point x whose line meets the ball.
 
-    x must be a point of the unit sphere outside the ball.  Writing
-    v = c - x and v_T for its projection onto the tangent plane at x, the
-    tangent line along d(theta) meets the closed ball iff
-    |v_T| |cos(theta - theta0)| >= sqrt(|v|^2 - r^2).  The result is one
-    period-pi arc, or no arc when the ball stays clear of every tangent
-    line (including the degenerate case v_T = 0 of a ball sitting on the
-    normal axis).
+    x must be a point of the unit sphere outside the ball.  With v = c - x
+    and (e1, e2) = ``orthonormal_basis(x)``, the tangent line along
+    e1 cos(theta) + e2 sin(theta) meets the closed ball iff its |. v| reaches
+    sqrt(|v|^2 - r^2): one period-pi :func:`threshold_arcs` row, giving one
+    arc or none (a ball centred on the normal axis through x gives none).
     """
     x = as_vector(x, 3)
     v = ball.center - x
@@ -308,14 +308,8 @@ def tangent_arcs(x, ball: Ball, tol: float = TOL) -> list[Arc]:
     r = ball.radius
     if nv2 < (r - tol) * (r - tol):
         raise PointInsideBall()
-    v_t = v - float(v @ x) * x
-    n_t = float(np.linalg.norm(v_t))
-    reach = math.sqrt(max(nv2 - r * r, 0.0))
-    if n_t < 1e-300 or reach > n_t:
-        return []
-    e1, e2 = orthonormal_basis(x)
-    theta0 = math.atan2(float(v_t @ e2), float(v_t @ e1))
-    return [Arc(theta0, math.acos(min(reach / n_t, 1.0)), PERIOD_LINE)]
+    w = (np.stack(orthonormal_basis(x)) @ v)[None, :]
+    return threshold_arcs(w, np.array([math.sqrt(max(nv2 - r * r, 0.0))]), PERIOD_LINE).arcs
 
 
 def pair_relation(b1: Ball, b2: Ball, tol: float = TOL) -> str:

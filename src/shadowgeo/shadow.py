@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circlecover import PERIOD_LINE, Arc, ArcSet, cover_circle
+from .circlecover import PERIOD_LINE, cover_circle, threshold_arcs
 from .geometry import (
     TOL,
     BadDimension,
@@ -139,15 +139,6 @@ def _ball_vectors(scene: Scene, x: np.ndarray, tol: float):
     return v, np.linalg.norm(v, axis=1), clear
 
 
-def _polar_arcs(q: np.ndarray) -> ArcSet:
-    """Period-pi arcs of the unit u in R^2 with |u . q_i| >= 1, one per |q_i| >= 1."""
-    arcs = []
-    for (q1, q2), n in zip(q.tolist(), np.linalg.norm(q, axis=1).tolist()):
-        if n >= 1.0:
-            arcs.append(Arc(math.atan2(q2, q1), math.acos(1.0 / n), PERIOD_LINE))
-    return ArcSet(PERIOD_LINE, arcs)
-
-
 def _polar_hull(q: np.ndarray, tol: float) -> tuple[np.ndarray, float] | None:
     """A unit u in R^m and h = max_i |u . q_i|, or None when qhull fails.
 
@@ -217,7 +208,7 @@ def _decide(scene: Scene, x: np.ndarray, axes: np.ndarray, tol: float,
             return ShadowVerdict(SHADOWED, boundary_index=boundary, method=method)
         u = np.ones(1)
     elif m == 2:
-        cov = cover_circle(_polar_arcs(q), tol)
+        cov = cover_circle(threshold_arcs(q, np.ones(len(q)), PERIOD_LINE), tol)
         if cov.covered:
             return ShadowVerdict(SHADOWED, gap=0.0, boundary_index=boundary, method=method)
         u, gap = np.array([math.cos(cov.witness), math.sin(cov.witness)]), cov.largest_gap

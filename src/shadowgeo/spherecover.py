@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circlecover import PERIOD_CIRCLE, Arc, ArcSet, cover_circle, uncovered_arcs
+from .circlecover import PERIOD_CIRCLE, Arc, ArcSet, threshold_arcs, uncovered_arcs
 from .geometry import TOL, Cap, orthonormal_basis
 from .sampling import sample_sphere
 
@@ -33,23 +33,17 @@ _CONTAIN_TOL = 1e-12
 _TRIPLE_BLOCK = 4096
 
 
-def _cap_contains_cap(outer: Cap, inner: Cap) -> bool:
-    if outer.is_full:
-        return True
-    (a1, a2, a3), (b1, b2, b3) = outer.axis.tolist(), inner.axis.tolist()
-    # atan2(|a x b|, a . b) is exact near 0, where acos(a . b) is off by about 1e-8
-    ang = math.atan2(math.hypot(a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1),
-                     a1 * b1 + a2 * b2 + a3 * b3)
-    return ang + inner.angular_radius <= outer.angular_radius + _CONTAIN_TOL
-
-
 @dataclass(eq=False)
 class CapSet:
     """A family of caps, normalized on construction.
 
     Empty caps are dropped, and so is any cap contained in another: it
     adds nothing to the union, and keeping an exact duplicate would let a
-    boundary circle vacuously certify itself in the arrangement test.
+    boundary circle vacuously certify itself in the arrangement test.  Of
+    two caps that contain each other the first is kept; a full cap
+    contains every cap.  Containment reads one table of axis angles
+    atan2(|a_i x a_j|, a_i . a_j) (exact near 0, unlike acos) with a
+    slack of 1e-12 rad.
     """
 
     caps: list[Cap]
@@ -58,21 +52,22 @@ class CapSet:
 
     def __post_init__(self) -> None:
         live = [c for c in self.caps if not c.is_empty]
-        drop = [False] * len(live)
-        for i, ci in enumerate(live):
-            for j, cj in enumerate(live):
-                if i == j or drop[j]:
-                    continue
-                if _cap_contains_cap(cj, ci) and (not _cap_contains_cap(ci, cj) or j < i):
-                    drop[i] = True
-                    break
-        self.caps = [c for c, d in zip(live, drop) if not d]
-        if self.caps:
-            self._axes = np.stack([c.axis for c in self.caps])
-            self._cosb = np.array([math.cos(c.angular_radius) for c in self.caps])
-        else:
-            self._axes = np.zeros((0, 3))
-            self._cosb = np.zeros(0)
+        axes = np.array([c.axis for c in live], dtype=float).reshape(-1, 3)
+        beta = np.array([c.angular_radius for c in live], dtype=float)
+        ang = np.arctan2(np.linalg.norm(np.cross(axes[:, None], axes[None, :]), axis=-1),
+                         axes @ axes.T)
+        # contains[j, i]: cap j contains cap i; beats[j, i]: and cap j is kept over it
+        contains = (ang + beta <= beta[:, None] + _CONTAIN_TOL) | (beta >= math.pi)[:, None]
+        earlier = np.triu(np.ones_like(contains), 1)
+        beats = contains & (~contains.T | earlier)
+        # caps settle in index order, each dropped by a later cap that beats it or an earlier
+        # kept one: two rounds reach the fixed point unless dropped caps beat later ones
+        drop, again = None, np.zeros(len(live), dtype=bool)
+        while not np.array_equal(drop, again):
+            drop, again = again, (beats & ~(again[:, None] & earlier)).any(axis=0)
+        self.caps = [c for c, d in zip(live, drop.tolist()) if not d]
+        self._axes = axes[~drop]
+        self._cosb = np.array([math.cos(b) for b in beta[~drop].tolist()])
 
     def __len__(self) -> int:
         return len(self.caps)
@@ -104,8 +99,7 @@ def margin(d, caps: CapSet) -> float:
     """mu(d) = min over caps of cos(beta) - d . axis (inf for no caps)."""
     if not caps.caps:
         return math.inf
-    d = np.asarray(d, dtype=float)
-    return float(np.min(caps._cosb - caps._axes @ d))
+    return float(_grid_margins(np.asarray(d, dtype=float)[None, :], caps)[0])
 
 
 def _grid_margins(points: np.ndarray, caps: CapSet) -> np.ndarray:
@@ -199,38 +193,19 @@ def falsify(caps: CapSet, tol: float = TOL) -> tuple[np.ndarray, float]:
 def cap_boundary_cover_arcs(caps: CapSet, i: int, tol: float = TOL) -> ArcSet:
     """Arcs of cap i's boundary circle covered by the other closed caps.
 
-    The circle is d(t) = cos(b_i) a_i + sin(b_i) (e1 cos t + e2 sin t);
-    cap j covers the t-set where A + R cos(t - phi) >= cos(b_j), an arc
-    recovered from A = cos(b_i) a_i . a_j and the tangential component of
-    a_j.  A slack of tol keeps coincident boundary circles counted as
+    The circle is d(t) = cos(b_i) a_i + sin(b_i) (e1 cos t + e2 sin t) with
+    (e1, e2) = ``orthonormal_basis(a_i)``, so cap j covers the :func:`threshold_arcs`
+    row w = sin(b_i) (a_j . e1, a_j . e2), s = cos(b_j) - cos(b_i) a_i . a_j.
+    A slack of tol on s keeps coincident boundary circles counted as
     covered: closed caps meeting along a shared circle genuinely cover it.
     """
-    cap_i = caps.caps[i]
-    b = cap_i.angular_radius
-    e1, e2 = orthonormal_basis(cap_i.axis)
-    cos_b, sin_b = math.cos(b), math.sin(b)
-    arcs: list[Arc] = []
-    for j, cap_j in enumerate(caps.caps):
-        if j == i:
-            continue
-        if cap_j.is_full:
-            arcs.append(Arc(0.0, math.pi, PERIOD_CIRCLE))
-            continue
-        a_j = cap_j.axis
-        big_a = cos_b * float(cap_i.axis @ a_j)
-        c1, c2 = float(e1 @ a_j), float(e2 @ a_j)
-        big_r = sin_b * math.hypot(c1, c2)
-        target = math.cos(cap_j.angular_radius) - tol
-        if big_r < 1e-15:
-            if big_a >= target:
-                arcs.append(Arc(0.0, math.pi, PERIOD_CIRCLE))
-            continue
-        w = (target - big_a) / big_r
-        if w <= -1.0:
-            arcs.append(Arc(0.0, math.pi, PERIOD_CIRCLE))
-        elif w < 1.0:
-            arcs.append(Arc(math.atan2(c2, c1), math.acos(w), PERIOD_CIRCLE))
-    return ArcSet(PERIOD_CIRCLE, arcs)
+    a, cosb = caps._axes, caps._cosb
+    b = caps.caps[i].angular_radius
+    others = np.arange(len(cosb)) != i
+    e = np.stack(orthonormal_basis(a[i]))
+    w = math.sin(b) * (a[others] @ e.T)
+    s = (cosb[others] - tol) - math.cos(b) * (a[others] @ a[i])
+    return threshold_arcs(w, s, PERIOD_CIRCLE)
 
 
 def boundary_arrangement(caps: CapSet, tol: float = TOL) -> list[list[Arc]]:

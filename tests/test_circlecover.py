@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,7 @@ from shadowgeo.circlecover import (
     Arc,
     ArcSet,
     cover_circle,
+    threshold_arcs,
     uncovered_arcs,
     uncovered_measure,
 )
@@ -183,3 +185,47 @@ def test_rotation_preserves_verdict_and_measure(arcset, shift):
     assert rot.covered == base.covered
     assert rot.largest_gap == pytest.approx(base.largest_gap, abs=1e-9)
     assert uncovered_measure(rotated) == pytest.approx(measure, abs=1e-9)
+
+
+@st.composite
+def threshold_rows(draw):
+    """Rows (w, s) of the threshold rule: zero w, whole circle, no arc and partial arcs."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        w = draw(st.one_of(
+            st.just((0.0, 0.0)),
+            st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        ))
+        n = math.hypot(*w)
+        ratio = draw(st.one_of(st.sampled_from([-1.0, -0.9995, 0.9995, 1.0]),
+                               st.floats(-2.0, 2.0)))
+        s = ratio * n if n > 0.0 else draw(st.sampled_from([-1.0, 0.0, 1.0]))
+        rows.append((w, s))
+    return rows
+
+
+@pytest.mark.parametrize("period", [PERIOD_LINE, PERIOD_CIRCLE])
+@given(rows=threshold_rows())
+def test_threshold_arcs_match_the_raw_predicate(period, rows):
+    w = np.array([r[0] for r in rows]).reshape(-1, 2)
+    s = np.array([r[1] for r in rows])
+    together = threshold_arcs(w, s, period)
+    assert together.period == period
+    singles = [threshold_arcs(w[j:j + 1], s[j:j + 1], period).arcs for j in range(len(s))]
+    assert together.arcs == [a for arcs in singles for a in arcs]
+    ts = np.arange(2048) * (period / 2048)
+    # on the period-pi circle t and t + pi are one direction
+    lifts = [0.0] if period == PERIOD_CIRCLE else [0.0, math.pi]
+    for (w1, w2), sj, arcs in zip(w.tolist(), s.tolist(), singles):
+        assert len(arcs) <= 1
+        if sj > math.hypot(w1, w2):
+            assert not arcs
+        for t in ts.tolist():
+            values = [math.cos(t + lift) * w1 + math.sin(t + lift) * w2 - sj for lift in lifts]
+            want = max(values) >= 0.0
+            got = bool(arcs) and arcs[0].contains(t)
+            if want != got:
+                # only within float fuzz of a crossing
+                fuzz = 1e-9 * (1.0 + abs(w1) + abs(w2) + abs(sj))
+                assert min(abs(v) for v in values) <= fuzz \
+                    or (arcs and abs(arcs[0].signed_distance(t)) <= 1e-7)

@@ -77,6 +77,54 @@ def test_plane_find_exact_and_heuristic(octa_file):
     assert blocked.payload["status"] == "indeterminate"
 
 
+def test_coordinates_may_start_with_a_minus_sign(lemma_file, octa_file):
+    check = dispatch(["shadow", "check", "--scene", lemma_file, "--point", "-1,0.4"])
+    assert check.exit_code == 0
+    assert check.payload["point"] == [-1.0, 0.4]
+    assert check.payload["verdict"] == "not_shadowed"
+    found = dispatch(["plane", "find", "--scene", octa_file, "--point", "-0.5,0,0", "--m", "1"])
+    assert found.exit_code == 0
+    assert found.payload["point"] == [-0.5, 0.0, 0.0]
+    assert found.payload["found"] is True
+    cut = dispatch(["slice", "--scene", octa_file, "--plane-point", "-0.1,0,0",
+                    "--plane-normal", "-1,0,0", "--window", "2", "--resolution", "64"])
+    assert cut.payload["plane_point"] == [-0.1, 0.0, 0.0]
+    assert cut.payload["plane_normal"] == [-1.0, 0.0, 0.0]
+    assert cut.payload["components"] == 1
+
+
+@pytest.mark.parametrize("command,option", [
+    (["shadow", "check", "--point", "-1,x,0"], "--point"),
+    (["slice", "--plane-point", "-1,x,0", "--plane-normal", "0,0,1",
+      "--window", "2", "--resolution", "8"], "--plane-point"),
+    (["slice", "--plane-point", "0,0,0", "--plane-normal", "-1,x,0",
+      "--window", "2", "--resolution", "8"], "--plane-normal"),
+])
+def test_main_rejects_non_numeric_negative_coordinates_with_exit_3(capsys, octa_file,
+                                                                    command, option):
+    code = main([*command, "--scene", octa_file])
+    assert code == 3
+    out = capsys.readouterr()
+    assert json.loads(out.out.strip())["status"] == "error"
+    assert option in out.err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "theorem3", "--trials", "0"],
+    ["verify", "theorem4", "--trials", "0"],
+    ["verify", "theorem4", "--trials", "-1"],
+    ["verify", "lower-bound", "--k", "2", "--dim", "3", "--trials", "0"],
+    ["plane", "find", "--point", "9,9", "--m", "1", "--restarts", "-5"],
+    ["plane", "find", "--point", "9,9", "--m", "1", "--restarts", "0"],
+])
+def test_main_rejects_counts_below_one_with_exit_3(capsys, lemma_file, command):
+    code = main([*command, "--scene", lemma_file] if command[0] == "plane" else command)
+    assert code == 3
+    out = capsys.readouterr()
+    assert json.loads(out.out.strip())["status"] == "error"
+    assert command[-2] in out.err
+
+
 def test_scene_gen_emits_raw_scene_document():
     res = dispatch(["scene", "gen", "cube14"])
     assert res.exit_code == 0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from shadowgeo.geometry import (
     CLOSED,
@@ -265,13 +265,16 @@ def test_band_contains_directions_that_hit(xl, cl, r, seed):
     rng = np.random.default_rng(seed)
     # aim at a random interior point: that line must hit, so its
     # direction must be inside the band
-    target = c + rng.normal(size=3) * (r / 4)
+    offset = rng.normal(size=3)
+    target = c + offset * (r / max(4.0, 1.01 * float(np.linalg.norm(offset))))
     d = unit(target - x)
     assert line_hits(x, d, c, r, closed=True, tol=1e-9)
     assert band.contains_direction(d, tol=1e-9)
 
 
 @given(st.lists(finite, min_size=3, max_size=3), st.floats(0.05, 10.0))
+@example(cl=[0.0, 0.0, 3.2854077093585726e-158], r=1.0)
+@example(cl=[0.0, 0.0, 1e-20], r=1.0)
 def test_sphere_cap_membership_matches_ball(cl, r):
     c = np.array(cl)
     ball = Ball(c, r)

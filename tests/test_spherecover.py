@@ -153,6 +153,14 @@ def test_capset_drops_a_nested_cap_on_the_same_axis():
     assert cs.caps[0].angular_radius == 1.0 + 1e-10
 
 
+def test_capset_keeps_one_cap_of_a_chain_of_mutually_containing_caps():
+    # each neighbour pair contains each other within the 1e-12 slack, but the
+    # last cap strictly contains the first: one cap of the chain must stay
+    cs = CapSet([Cap(Z, 1.0), Cap(Z, 1.0 + 0.9e-12), Cap(Z, 1.0 + 1.8e-12)])
+    assert [c.angular_radius for c in cs.caps] == [1.0 + 0.9e-12]
+    assert cs._axes.shape == (1, 3) and cs._cosb.tolist() == [math.cos(1.0 + 0.9e-12)]
+
+
 def test_falsify_skips_pairs_sharing_an_axis():
     a = unit([0.3, -0.7, 0.2])
     cs = CapSet([Cap(a, 1.0), Cap(a, 1.0 + 1e-10), Cap(-a, 0.5)])
