@@ -35,7 +35,6 @@ from .geometry import (
 from .sceneio import dump_scene, load_scene_file, load_scene_text, scene_from_dict, scene_to_dict
 from .shadow import (
     NOT_SHADOWED,
-    POSSIBLY_SHADOWED,
     SHADOWED,
     PlaneFrame,
     ShadowVerdict,
@@ -65,7 +64,6 @@ __all__ = [
     "OPEN",
     "PlaneFrame",
     "PointInsideBall",
-    "POSSIBLY_SHADOWED",
     "Scene",
     "ShadowVerdict",
     "SHADOWED",

@@ -54,6 +54,9 @@ PASS = "pass"
 FAIL = "fail"
 INDETERMINATE_ONLY = "indeterminate-only"
 
+# theorem 3 samples 20 boundary points per trial, rounded up to 7 per ball
+_BOUNDARY_POINTS_PER_BALL = 7
+
 
 @dataclass(eq=False)
 class PropertyReport:
@@ -145,24 +148,22 @@ def _run_trials(report: PropertyReport, seed: int, tol: float, draw) -> int:
     return tested
 
 
-def check_theorem3(trials: int, seed: int = 0, tol: float = TOL,
-                   points_per_trial: int = 20) -> PropertyReport:
+def check_theorem3(trials: int, seed: int = 0, tol: float = TOL) -> PropertyReport:
     """Boundary points of three equal disjoint open balls are never shadowed.
 
     Each trial draws a random scene of three equal open balls in R^3 and
-    samples boundary points of their union; at every point the exact
-    decision must produce a witness line that misses the two other balls
-    with positive clearance (the touching ball is met tangentially, which
-    open semantics counts as a miss).
+    samples 7 boundary points per ball, keeping those outside the other
+    balls; at every point the exact decision must produce a witness line
+    that misses the two other balls with positive clearance (the touching
+    ball is met tangentially, which open semantics counts as a miss).
     """
     report = PropertyReport(name="three-equal-open-balls-boundary",
                             trials=trials, passes=0)
-    per_ball = math.ceil(points_per_trial / 3)
 
     def draw(s):
         scene = random_equal_balls(3, 3, 1.0, s, topology=OPEN)
-        return scene, (p for i in range(3)
-                       for p in boundary_sample(scene, i, per_ball, seed=s + i + 1))
+        return scene, (p for i in range(3) for p in
+                       boundary_sample(scene, i, _BOUNDARY_POINTS_PER_BALL, seed=s + i + 1))
 
     report.details["boundary_points_tested"] = _run_trials(report, seed, tol, draw)
     return report

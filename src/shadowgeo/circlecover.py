@@ -179,8 +179,3 @@ def uncovered_arcs(arcs: ArcSet, tol: float = TOL) -> list[Arc]:
         Arc(((s + e) / 2.0) % arcs.period, (e - s) / 2.0, arcs.period)
         for s, e in _gaps(arcs, tol)
     ]
-
-
-def uncovered_measure(arcs: ArcSet, tol: float = TOL) -> float:
-    """Total angular length not covered by the union (0 iff covered)."""
-    return sum(e - s for s, e in _gaps(arcs, tol))

@@ -72,6 +72,7 @@ def _checked(parse, noun: str, ok, rule: str):
 _tolerance = _checked(float, "a number", lambda t: math.isfinite(t) and t >= 0.0,
                       "finite and >= 0")
 _count = _checked(int, "an integer", lambda n: n >= 1, "a positive integer")
+_seed = _checked(int, "an integer", lambda n: n >= 0, "a non-negative integer")
 
 
 def _attach_coordinates(argv: list[str]) -> list[str]:
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     find.add_argument("--point", required=True)
     find.add_argument("--m", type=int, required=True)
     find.add_argument("--restarts", type=_count, default=64)
-    find.add_argument("--seed", type=int, default=0)
+    find.add_argument("--seed", type=_seed, default=0)
     find.add_argument("--tol", type=_tolerance, default=1e-9)
 
     scene = sub.add_parser("scene", help="scene generators")
@@ -155,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_random.add_argument("--dim", type=int, required=True)
     gen_random.add_argument("--k", type=int, required=True)
     gen_random.add_argument("--radius", type=float, required=True)
-    gen_random.add_argument("--seed", type=int, required=True)
+    gen_random.add_argument("--seed", type=_seed, required=True)
 
     verify = sub.add_parser("verify", help="property suites")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
@@ -166,19 +167,19 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("theorem3", "theorem4"):
         v = verify_sub.add_parser(name)
         v.add_argument("--trials", type=_count, default=500)
-        v.add_argument("--seed", type=int, default=0)
+        v.add_argument("--seed", type=_seed, default=0)
     v_lb = verify_sub.add_parser("lower-bound")
     v_lb.add_argument("--k", type=int, required=True)
     v_lb.add_argument("--dim", type=int, required=True)
     v_lb.add_argument("--trials", type=_count, default=500)
-    v_lb.add_argument("--seed", type=int, default=0)
+    v_lb.add_argument("--seed", type=_seed, default=0)
 
     analyze = sub.add_parser("analyze", help="configuration analyses")
     analyze_sub = analyze.add_subparsers(dest="subcommand", required=True)
     ex2 = analyze_sub.add_parser("example2")
     ex2.add_argument("--tangent-grid", type=int, default=20000)
     ex2.add_argument("--area-samples", type=int, default=1_000_000)
-    ex2.add_argument("--seed", type=int, default=0)
+    ex2.add_argument("--seed", type=_seed, default=0)
     ex2.add_argument("--falsifier-grid", type=int, default=20000,
                      help="ignored; kept for compatibility")
     ex2.add_argument("--csv")
@@ -217,6 +218,7 @@ def _cmd_shadow_check(args) -> RunResult:
 
 
 def _cmd_shadow_tangent(args) -> RunResult:
+    from .geometry import unit
     from .shadow import tangent_shadow
 
     scene = _load_scene(args.scene)
@@ -227,7 +229,7 @@ def _cmd_shadow_tangent(args) -> RunResult:
     payload = {
         "command": "shadow tangent",
         "scene": scene.label,
-        "point": verdict.witness_point if verdict.witness_point is not None else x,
+        "point": unit(x),
         "verdict": verdict.verdict,
         "shadowed": verdict.shadowed,
         "witness_direction": verdict.witness_direction,

@@ -20,6 +20,8 @@ from .sampling import sample_sphere
 
 _CONSTRUCTION_TOL = 1e-12
 _MAX_REJECTIONS = 100_000
+_MIN_GAP = 0.01     # least surface gap between two sampled balls
+_STANDOFF = 0.05    # least clearance of a sampled exterior point
 
 
 @dataclass(eq=False)
@@ -109,21 +111,21 @@ def build_cube14(topology: str = OPEN) -> Cube14Config:
 
 
 def random_equal_balls(dim: int, k: int, radius: float, seed: int,
-                       topology: str = CLOSED, box: float = 5.0,
-                       min_gap: float = 0.01) -> Scene:
+                       topology: str = CLOSED, box: float = 5.0) -> Scene:
     """k disjoint equal balls with centers drawn uniformly from [-box, box]^dim.
 
-    Rejection sampling keeps center separations at least 2*radius + min_gap;
-    the same seed always returns the same scene.
+    Rejection sampling keeps center separations at least 2*radius + 0.01;
+    the same seed always returns the same scene.  The radius must be finite
+    and positive.
     """
-    if k < 0 or dim < 1 or radius <= 0:
-        raise ValueError("need dim >= 1, k >= 0 and a positive radius")
+    if k < 0 or dim < 1 or not (math.isfinite(radius) and radius > 0):
+        raise ValueError("need dim >= 1, k >= 0 and a finite positive radius")
     rng = np.random.default_rng(seed)
     centers = np.empty((k, dim))
     placed = rejections = 0
     while placed < k:
         c = rng.uniform(-box, box, dim)
-        if (flat_clearances(centers[:placed], radius, c) >= radius + min_gap).all():
+        if (flat_clearances(centers[:placed], radius, c) >= radius + _MIN_GAP).all():
             centers[placed] = c
             placed += 1
         else:
@@ -137,19 +139,22 @@ def random_equal_balls(dim: int, k: int, radius: float, seed: int,
 
 def random_disjoint_balls(dim: int, k: int, seed: int,
                           radius_range: tuple[float, float] = (0.2, 1.5),
-                          topology: str = CLOSED, box: float = 5.0,
-                          min_gap: float = 0.01) -> Scene:
-    """k disjoint balls with radii drawn uniformly from radius_range."""
+                          topology: str = CLOSED, box: float = 5.0) -> Scene:
+    """k disjoint balls with radii drawn uniformly from radius_range = (lo, hi).
+
+    Rejection sampling keeps surface gaps of at least 0.01; the range must
+    satisfy 0 < lo <= hi < inf.
+    """
     lo, hi = radius_range
-    if k < 0 or dim < 1 or not 0 < lo <= hi:
-        raise ValueError("need dim >= 1, k >= 0 and 0 < lo <= hi")
+    if k < 0 or dim < 1 or not (0 < lo <= hi and math.isfinite(hi)):
+        raise ValueError("need dim >= 1, k >= 0 and a finite 0 < lo <= hi")
     rng = np.random.default_rng(seed)
     centers, radii = np.empty((k, dim)), np.empty(k)
     placed = rejections = 0
     while placed < k:
         r = rng.uniform(lo, hi)
         c = rng.uniform(-box, box, dim)
-        if (flat_clearances(centers[:placed], radii[:placed], c) >= r + min_gap).all():
+        if (flat_clearances(centers[:placed], radii[:placed], c) >= r + _MIN_GAP).all():
             centers[placed], radii[placed] = c, r
             placed += 1
         else:
@@ -177,12 +182,11 @@ def boundary_sample(scene: Scene, ball_index: int, count: int, seed: int) -> lis
     return list(pts[clear.min(axis=1) > 0.0])
 
 
-def random_exterior_point(scene: Scene, seed: int, box: float = 6.0,
-                          standoff: float = 0.05) -> np.ndarray:
-    """A seeded point at clearance >= standoff from every ball in the scene."""
+def random_exterior_point(scene: Scene, seed: int, box: float = 6.0) -> np.ndarray:
+    """A seeded point of [-box, box]^dim at clearance >= 0.05 from every ball in the scene."""
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_REJECTIONS):
         x = rng.uniform(-box, box, scene.dim)
-        if not scene.balls or float(scene.clearances(x).min()) >= standoff:
+        if not scene.balls or float(scene.clearances(x).min()) >= _STANDOFF:
             return x
-    raise GenerationFailed("could not find an exterior point with the requested standoff")
+    raise GenerationFailed("could not find an exterior point clear of every ball")

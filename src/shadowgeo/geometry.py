@@ -312,14 +312,6 @@ def tangent_arcs(x, ball: Ball, tol: float = TOL) -> list[Arc]:
     return threshold_arcs(w, np.array([math.sqrt(max(nv2 - r * r, 0.0))]), PERIOD_LINE).arcs
 
 
-def pair_relation(b1: Ball, b2: Ball, tol: float = TOL) -> str:
-    """Classify two balls as 'disjoint', 'tangent', or 'overlapping'."""
-    gap = float(Scene(b1.dim, [b1, b2]).pair_gaps()[0, 1])
-    if abs(gap) <= tol:
-        return "tangent"
-    return "overlapping" if gap < 0 else "disjoint"
-
-
 def line_ball_clearance(x, d, ball: Ball) -> float:
     """Distance from the line through x with unit direction d to the ball surface.
 
@@ -328,9 +320,3 @@ def line_ball_clearance(x, d, ball: Ball) -> float:
     x = as_vector(x, ball.dim)
     d = as_vector(d, ball.dim)
     return float(flat_clearances(ball.center[None, :], ball.radius, x, d[None, :])[0])
-
-
-def line_hits_ball(x, d, ball: Ball, tol: float = 0.0) -> bool:
-    """Whether the line (x, d) meets the ball, honoring its topology."""
-    c = line_ball_clearance(x, d, ball)
-    return c < -tol if ball.topology == OPEN else c <= tol

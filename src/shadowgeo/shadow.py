@@ -57,8 +57,6 @@ from .geometry import (
 SHADOWED = "shadowed"
 NOT_SHADOWED = "not_shadowed"
 INDETERMINATE = "indeterminate"
-POSSIBLY_SHADOWED = "possibly_shadowed"
-"""No decision returns this any more; kept for callers that compare against it."""
 
 _SAME_AXIS = math.sqrt(1e-9)
 """Touching axes whose pair has 1 - |cos| <= 1e-9 constrain as one axis.
@@ -303,24 +301,24 @@ def find_avoiding_plane(scene: Scene, x, m: int, restarts: int = 64, seed: int =
     best_w, best_f = None, -math.inf
     for _ in range(max(restarts, 1)):
         w, _ = np.linalg.qr(rng.standard_normal((n, m)))
-        f, _i = objective(w)
+        f, i = objective(w)
         step = 0.1
         for _ in range(200):
             if step < 1e-12:
                 break
-            _f, i = objective(w)
             grad = -2.0 * np.outer(v[i], v[i] @ w)
             g_n = float(np.linalg.norm(grad))
             if g_n < 1e-15:
                 break
             cand, _ = np.linalg.qr(w + (step / g_n) * grad)
-            f_c, _ = objective(cand)
+            f_c, i_c = objective(cand)
             if f_c > f:
-                w, f = cand, f_c
+                w, f, i = cand, f_c, i_c
             else:
                 step /= 2.0
         if f > best_f:
             best_w, best_f = w, f
+    # every restart scores NaN when the squared offsets overflow (|c_i - x| above about 1e154)
     if best_w is None:
         return None
     frame = PlaneFrame(x, best_w.T)

@@ -199,7 +199,7 @@ def test_acceptance_4_cover_oracle_equivalence():
         if cov.verdict == INDETERMINATE:
             indeterminate += 1
             continue
-        _, mu = falsify(cs, tol=TOL)
+        _, mu = falsify(cs)
         gaps = boundary_arrangement(cs, tol=TOL)
         if mu > TOL and all(len(g) == 0 for g in gaps):
             contradictions += 1

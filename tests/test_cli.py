@@ -8,6 +8,7 @@ import pytest
 from shadowgeo.cli import CliError, dispatch, main
 from shadowgeo.sceneio import dump_scene, load_scene_text
 from shadowgeo.constructions import build_lemma, random_equal_balls
+from shadowgeo.geometry import unit
 
 
 @pytest.fixture()
@@ -63,6 +64,17 @@ def test_shadow_tangent_subcommand(tmp_path):
     assert res.exit_code == 0
     assert res.payload["verdict"] == "not_shadowed"
     assert res.payload["gap"] == pytest.approx(0.07092131293722148, abs=1e-9)
+
+
+def test_shadow_tangent_prints_the_normalised_point(tmp_path):
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(dispatch(["scene", "gen", "cube14"]).payload))
+    for point, verdict in (([0.18, 0.694, 1.867], "shadowed"),
+                           ([1.5, 1.5, 0.0], "not_shadowed")):
+        res = dispatch(["shadow", "tangent", "--scene", str(path),
+                        "--point", ",".join(map(repr, point))])
+        assert res.payload["verdict"] == verdict
+        assert res.payload["point"] == unit(point).tolist()
 
 
 def test_plane_find_exact_and_heuristic(octa_file):
@@ -123,6 +135,32 @@ def test_main_rejects_counts_below_one_with_exit_3(capsys, lemma_file, command):
     out = capsys.readouterr()
     assert json.loads(out.out.strip())["status"] == "error"
     assert command[-2] in out.err
+
+
+@pytest.mark.parametrize("command", [
+    ["plane", "find", "--point", "9,9", "--m", "1", "--seed", "-1"],
+    ["scene", "gen", "random", "--dim", "3", "--k", "3", "--radius", "0.5", "--seed", "-1"],
+    ["verify", "theorem3", "--trials", "1", "--seed", "-1"],
+    ["verify", "theorem4", "--trials", "1", "--seed", "-1"],
+    ["verify", "lower-bound", "--k", "2", "--dim", "3", "--trials", "1", "--seed", "-1"],
+    ["analyze", "example2", "--seed", "-1"],
+])
+def test_main_rejects_negative_seeds_with_exit_3(capsys, lemma_file, command):
+    code = main([*command, "--scene", lemma_file] if command[0] == "plane" else command)
+    assert code == 3
+    out = capsys.readouterr()
+    assert json.loads(out.out.strip())["status"] == "error"
+    assert "--seed" in out.err
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_main_rejects_non_finite_random_radius_with_exit_3(capsys, radius):
+    code = main(["scene", "gen", "random", "--dim", "3", "--k", "3",
+                 "--radius", radius, "--seed", "0"])
+    assert code == 3
+    out = capsys.readouterr()
+    assert json.loads(out.out.strip())["status"] == "error"
+    assert "finite positive radius" in out.err
 
 
 def test_scene_gen_emits_raw_scene_document():

@@ -89,8 +89,9 @@ def test_random_equal_balls_are_disjoint_and_reproducible(seed):
 def test_random_equal_balls_validation_and_failure():
     with pytest.raises(ValueError):
         random_equal_balls(0, 3, 1.0, seed=0)
-    with pytest.raises(ValueError):
-        random_equal_balls(2, 3, -1.0, seed=0)
+    for radius in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            random_equal_balls(2, 3, radius, seed=0)
     with pytest.raises(GenerationFailed):
         random_equal_balls(2, 500, 1.0, seed=0, box=2.0)
 
@@ -100,8 +101,9 @@ def test_random_disjoint_balls_radius_range():
     assert sc.disjointness_violations() == []
     for b in sc.balls:
         assert 0.3 <= b.radius <= 0.9
-    with pytest.raises(ValueError):
-        random_disjoint_balls(2, 3, seed=0, radius_range=(1.0, 0.5))
+    for bad in ((1.0, 0.5), (0.5, math.inf), (0.5, math.nan)):
+        with pytest.raises(ValueError):
+            random_disjoint_balls(2, 3, seed=0, radius_range=bad)
 
 
 def test_boundary_sample_lies_on_sphere_and_outside_others():

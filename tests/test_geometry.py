@@ -17,9 +17,7 @@ from shadowgeo.geometry import (
     ball_band,
     ball_sphere_cap,
     line_ball_clearance,
-    line_hits_ball,
     orthonormal_basis,
-    pair_relation,
     tangent_arcs,
     unit,
 )
@@ -114,7 +112,6 @@ def test_pair_gaps_and_violations_with_overlap_and_exact_tangency():
     for tol in (0.0, 1e-9):
         assert sc.disjointness_violations(tol) == [(2, 3)]
     assert sc.disjointness_violations(0.5) == []
-    assert pair_relation(sc.balls[0], sc.balls[1], 0.0) == "tangent"
 
 
 def test_scene_arrays_are_built_once_from_the_balls():
@@ -219,18 +216,20 @@ def test_tangent_arcs_absent_cases():
 
 
 def test_pair_relation():
-    assert pair_relation(Ball([0, 0], 1.0), Ball([3, 0], 1.0)) == "disjoint"
-    assert pair_relation(Ball([0, 0], 1.0), Ball([2, 0], 1.0)) == "tangent"
-    assert pair_relation(Ball([0, 0], 1.0), Ball([1, 0], 1.0)) == "overlapping"
+    # the sign of the pair gap tells disjoint (+), tangent (0) and overlapping (-) apart
+    for other, sign in (([3, 0], 1.0), ([2, 0], 0.0), ([1, 0], -1.0)):
+        assert np.sign(Scene(2, [Ball([0, 0], 1.0), Ball(other, 1.0)]).pair_gaps()[0, 1]) == sign
     with pytest.raises(ValueError):
-        pair_relation(Ball([0, 0], 1.0), Ball([0, 0, 0], 1.0))
+        Scene(2, [Ball([0, 0], 1.0), Ball([0, 0, 0], 1.0)])
 
 
 def test_line_hits_ball_topology_on_tangent_line():
     # the x-axis is tangent to a radius-1 ball centered at (0, 1)
     x, d = [5.0, 0.0], [1.0, 0.0]
-    assert line_hits_ball(x, d, Ball([0.0, 1.0], 1.0, CLOSED))
-    assert not line_hits_ball(x, d, Ball([0.0, 1.0], 1.0, OPEN))
+    sc = Scene(2, [Ball([0.0, 1.0], 1.0, CLOSED), Ball([0.0, 1.0], 1.0, OPEN)])
+    c = sc.clearances(x, d)
+    # a tangent line meets the closed ball and misses the open one
+    assert ((c < 0.0) | ((c <= 0.0) & sc.closed)).tolist() == [True, False]
     assert line_ball_clearance(x, d, Ball([0.0, 1.0], 1.0)) == pytest.approx(0.0)
 
 

@@ -485,6 +485,13 @@ def test_plane_in_dim5():
     assert frame.distance(sc.balls[0].center) > 1.0 + 1e-9
 
 
+def test_plane_search_with_overflowing_offsets_returns_none():
+    # |c - x|^2 overflows, so every restart scores NaN and no frame is ever kept
+    sc = Scene(3, [Ball([1e200, 0.0, 0.0], 1.0)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert find_avoiding_plane(sc, [0.0, 0.0, 0.0], 2) is None
+
+
 def test_plane_empty_scene_returns_axes():
     frame = find_avoiding_plane(Scene(4, []), [1.0, 2.0, 3.0, 4.0], 2)
     np.testing.assert_array_equal(frame.basis, np.eye(4)[:2])

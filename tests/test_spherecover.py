@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowgeo.geometry import Cap, unit
+from shadowgeo.sampling import sample_sphere
 from shadowgeo.spherecover import (
+    _SAMPLE_BLOCK,
     COVERED,
     INDETERMINATE,
     UNCOVERED,
     CapSet,
+    _grid_margins,
     boundary_arrangement,
     cap_boundary_cover_arcs,
     cover_sphere,
     falsify,
-    margin,
     uncovered_area_estimate,
 )
 
@@ -56,10 +58,9 @@ def test_capset_full_cap_absorbs_everything():
 
 
 def test_margin_values():
-    assert margin(Z, CapSet([])) == math.inf
+    assert falsify(CapSet([]))[1] == math.inf
     cs = CapSet([Cap(Z, math.pi / 3)])
-    assert margin(Z, cs) == pytest.approx(0.5 - 1.0)
-    assert margin(-Z, cs) == pytest.approx(0.5 + 1.0)
+    np.testing.assert_allclose(_grid_margins(np.array([Z, -Z]), cs), [0.5 - 1.0, 0.5 + 1.0])
 
 
 def test_falsify_hemisphere_finds_antipode():
@@ -197,6 +198,15 @@ def test_uncovered_area_estimates():
     assert half == pytest.approx(2 * math.pi, rel=0.02)
     with pytest.raises(ValueError):
         uncovered_area_estimate(CapSet([]), 0, seed=0)
+
+
+def test_area_estimate_counts_by_blocks_as_the_full_table_does():
+    caps = CapSet([Cap(a, 0.9) for a in OCTA_AXES])
+    # two whole blocks of samples and a partial third
+    n = 2 * _SAMPLE_BLOCK + 5000
+    outside = np.count_nonzero(_grid_margins(sample_sphere(n, 3), caps) > 0.0)
+    assert outside > 0
+    assert uncovered_area_estimate(caps, n, seed=3) == 4.0 * math.pi * (outside / n)
 
 
 @st.composite
