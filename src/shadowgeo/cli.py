@@ -6,9 +6,8 @@ Exit codes: 0 query answered / property holds, 1 property falsified,
 to stderr.  ``--scene -`` reads the scene document from stdin, and
 ``scene gen`` writes a bare scene document so commands pipe together.
 
-The SHADOW_ORACLE_THREADS environment variable caps the BLAS/OpenMP
-thread pools; it must take effect before numpy loads, which is why the
-geometry modules are imported inside main() and the handlers.
+Each leaf subparser binds its handler as ``run``; ``dispatch`` calls it and
+``main`` maps every input error to exit code 3 in one place.
 """
 
 from __future__ import annotations
@@ -16,9 +15,26 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
+
+import numpy as np
+
+from .analysis import (
+    FAIL,
+    INDETERMINATE_ONLY,
+    analyze_example2,
+    check_lower_bound,
+    check_theorem3,
+    check_theorem4,
+    slice_connectivity,
+    verify_lemma,
+)
+from .constructions import build_cube14, build_lemma, random_equal_balls
+from .geometry import GeometryError, orthonormal_basis, unit
+from .sceneio import SceneFormatError, load_scene_file, scene_to_dict
+from .shadow import INDETERMINATE, PlaneFrame, find_avoiding_plane, point_shadow, tangent_shadow
+from .spherecover import INDETERMINATE as COVER_INDETERMINATE
 
 
 class CliError(Exception):
@@ -37,13 +53,6 @@ class RunResult:
 
 
 _STATUS = {0: "ok", 1: "falsified", 2: "indeterminate", 3: "error"}
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("SHADOW_ORACLE_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _parse_point(text: str, what: str = "point") -> list[float]:
@@ -87,8 +96,6 @@ def _attach_coordinates(argv: list[str]) -> list[str]:
 
 
 def _jsonable(obj):
-    import numpy as np
-
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -103,8 +110,6 @@ def _jsonable(obj):
 
 
 def _load_scene(path: str):
-    from .sceneio import load_scene_file
-
     try:
         scene = load_scene_file(path)
     except FileNotFoundError as exc:
@@ -129,11 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--scene", required=True)
     check.add_argument("--point", required=True)
     check.add_argument("--tol", type=_tolerance, default=1e-9)
+    check.set_defaults(run=_cmd_shadow_check)
     tangent = shadow_sub.add_parser("tangent",
                                     help="is every tangent line of S^2 at the point blocked?")
     tangent.add_argument("--scene", required=True)
     tangent.add_argument("--point", required=True)
     tangent.add_argument("--tol", type=_tolerance, default=1e-9)
+    tangent.set_defaults(run=_cmd_shadow_tangent)
 
     plane = sub.add_parser("plane", help="avoiding-plane search")
     plane_sub = plane.add_subparsers(dest="subcommand", required=True)
@@ -144,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     find.add_argument("--restarts", type=_count, default=64)
     find.add_argument("--seed", type=_seed, default=0)
     find.add_argument("--tol", type=_tolerance, default=1e-9)
+    find.set_defaults(run=_cmd_plane_find)
 
     scene = sub.add_parser("scene", help="scene generators")
     scene_sub = scene.add_subparsers(dest="subcommand", required=True)
@@ -151,12 +159,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = gen.add_subparsers(dest="generator", required=True)
     gen_lemma = gen_sub.add_parser("lemma")
     gen_lemma.add_argument("--side", type=float, default=1.0)
-    gen_sub.add_parser("cube14")
+    gen_lemma.set_defaults(run=lambda a: RunResult(0, scene_to_dict(build_lemma(a.side).scene)))
+    gen_sub.add_parser("cube14").set_defaults(
+        run=lambda a: RunResult(0, scene_to_dict(build_cube14().scene)))
     gen_random = gen_sub.add_parser("random")
     gen_random.add_argument("--dim", type=int, required=True)
     gen_random.add_argument("--k", type=int, required=True)
     gen_random.add_argument("--radius", type=float, required=True)
     gen_random.add_argument("--seed", type=_seed, required=True)
+    gen_random.set_defaults(run=lambda a: RunResult(
+        0, scene_to_dict(random_equal_balls(a.dim, a.k, a.radius, a.seed))))
 
     verify = sub.add_parser("verify", help="property suites")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
@@ -164,15 +176,19 @@ def build_parser() -> argparse.ArgumentParser:
     v_lemma.add_argument("--side", type=float, default=1.0)
     v_lemma.add_argument("--grid-step", type=float, default=0.01)
     v_lemma.add_argument("--eps", type=float, default=1e-6)
-    for name in ("theorem3", "theorem4"):
+    v_lemma.set_defaults(run=lambda a: _report_result(verify_lemma(a.side, a.grid_step, a.eps)))
+    for name, suite in (("theorem3", check_theorem3), ("theorem4", check_theorem4)):
         v = verify_sub.add_parser(name)
         v.add_argument("--trials", type=_count, default=500)
         v.add_argument("--seed", type=_seed, default=0)
+        v.set_defaults(run=lambda a, suite=suite: _report_result(suite(a.trials, a.seed)))
     v_lb = verify_sub.add_parser("lower-bound")
     v_lb.add_argument("--k", type=int, required=True)
     v_lb.add_argument("--dim", type=int, required=True)
     v_lb.add_argument("--trials", type=_count, default=500)
     v_lb.add_argument("--seed", type=_seed, default=0)
+    v_lb.set_defaults(
+        run=lambda a: _report_result(check_lower_bound(a.k, a.dim, a.trials, a.seed)))
 
     analyze = sub.add_parser("analyze", help="configuration analyses")
     analyze_sub = analyze.add_subparsers(dest="subcommand", required=True)
@@ -183,6 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex2.add_argument("--falsifier-grid", type=int, default=20000,
                      help="ignored; kept for compatibility")
     ex2.add_argument("--csv")
+    ex2.set_defaults(run=_cmd_analyze_example2)
 
     slc = sub.add_parser("slice", help="planar slice connectivity probe")
     slc.add_argument("--scene", required=True)
@@ -190,16 +207,21 @@ def build_parser() -> argparse.ArgumentParser:
     slc.add_argument("--plane-normal", required=True)
     slc.add_argument("--window", type=float, required=True)
     slc.add_argument("--resolution", type=int, required=True)
+    slc.set_defaults(run=_cmd_slice)
     return parser
 
 
-def _cmd_shadow_check(args) -> RunResult:
-    from .shadow import INDETERMINATE, point_shadow
-
+def _scene_and_point(args):
+    """The scene at ``--scene`` and the ``--point`` in its dimension."""
     scene = _load_scene(args.scene)
     x = _parse_point(args.point)
     if len(x) != scene.dim:
         raise CliError(f"point has {len(x)} coordinates, scene dimension is {scene.dim}")
+    return scene, x
+
+
+def _cmd_shadow_check(args) -> RunResult:
+    scene, x = _scene_and_point(args)
     verdict = point_shadow(scene, x, args.tol)
     payload = {
         "command": "shadow check",
@@ -218,9 +240,6 @@ def _cmd_shadow_check(args) -> RunResult:
 
 
 def _cmd_shadow_tangent(args) -> RunResult:
-    from .geometry import unit
-    from .shadow import tangent_shadow
-
     scene = _load_scene(args.scene)
     x = _parse_point(args.point)
     if len(x) != 3:
@@ -240,12 +259,7 @@ def _cmd_shadow_tangent(args) -> RunResult:
 
 
 def _cmd_plane_find(args) -> RunResult:
-    from .shadow import find_avoiding_plane
-
-    scene = _load_scene(args.scene)
-    x = _parse_point(args.point)
-    if len(x) != scene.dim:
-        raise CliError(f"point has {len(x)} coordinates, scene dimension is {scene.dim}")
+    scene, x = _scene_and_point(args)
     exact = args.m == 1
     frame = find_avoiding_plane(scene, x, args.m, restarts=args.restarts,
                                 seed=args.seed, tol=args.tol)
@@ -260,48 +274,15 @@ def _cmd_plane_find(args) -> RunResult:
     if frame is not None:
         payload["basis"] = frame.basis
         payload["clearances"] = scene.clearances(frame.point, frame.basis)
-        code = 0
-    else:
-        code = 0 if exact else 2
-    return RunResult(code, payload)
-
-
-def _cmd_scene_gen(args) -> RunResult:
-    from .constructions import build_cube14, build_lemma, random_equal_balls
-    from .sceneio import scene_to_dict
-
-    if args.generator == "lemma":
-        scene = build_lemma(args.side).scene
-    elif args.generator == "cube14":
-        scene = build_cube14().scene
-    else:
-        scene = random_equal_balls(args.dim, args.k, args.radius, args.seed)
-    return RunResult(0, scene_to_dict(scene))
+    return RunResult(0 if frame is not None or exact else 2, payload)
 
 
 def _report_result(report) -> RunResult:
-    from .analysis import FAIL, INDETERMINATE_ONLY
-
     code = {FAIL: 1, INDETERMINATE_ONLY: 2}.get(report.status, 0)
     return RunResult(code, report.to_dict())
 
 
-def _cmd_verify(args) -> RunResult:
-    from .analysis import check_lower_bound, check_theorem3, check_theorem4, verify_lemma
-
-    if args.subcommand == "lemma":
-        return _report_result(verify_lemma(args.side, args.grid_step, args.eps))
-    if args.subcommand == "theorem3":
-        return _report_result(check_theorem3(args.trials, args.seed))
-    if args.subcommand == "theorem4":
-        return _report_result(check_theorem4(args.trials, args.seed))
-    return _report_result(check_lower_bound(args.k, args.dim, args.trials, args.seed))
-
-
 def _cmd_analyze_example2(args) -> RunResult:
-    from .analysis import analyze_example2
-    from .spherecover import INDETERMINATE as COVER_INDETERMINATE
-
     report = analyze_example2(tangent_grid=args.tangent_grid,
                               area_samples=args.area_samples, seed=args.seed)
     if args.csv:
@@ -311,11 +292,6 @@ def _cmd_analyze_example2(args) -> RunResult:
 
 
 def _cmd_slice(args) -> RunResult:
-    from .analysis import slice_connectivity
-    from .geometry import orthonormal_basis
-    from .shadow import PlaneFrame
-    import numpy as np
-
     scene = _load_scene(args.scene)
     point = _parse_point(args.plane_point, "plane-point")
     normal = _parse_point(args.plane_normal, "plane-normal")
@@ -342,21 +318,8 @@ def _cmd_slice(args) -> RunResult:
 
 def dispatch(argv: list[str]) -> RunResult:
     """Parse argv and run one subcommand, returning the result payload."""
-    parser = build_parser()
-    args = parser.parse_args(_attach_coordinates(argv))
-    if args.command == "shadow":
-        result = _cmd_shadow_check(args) if args.subcommand == "check" \
-            else _cmd_shadow_tangent(args)
-    elif args.command == "plane":
-        result = _cmd_plane_find(args)
-    elif args.command == "scene":
-        result = _cmd_scene_gen(args)
-    elif args.command == "verify":
-        result = _cmd_verify(args)
-    elif args.command == "analyze":
-        result = _cmd_analyze_example2(args)
-    else:
-        result = _cmd_slice(args)
+    args = build_parser().parse_args(_attach_coordinates(argv))
+    result = args.run(args)
     payload = _jsonable(result.payload)
     if args.command != "scene":
         payload["status"] = _STATUS[result.exit_code]
@@ -364,24 +327,12 @@ def dispatch(argv: list[str]) -> RunResult:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        result = dispatch(argv)
-    except CliError as exc:
+        result = dispatch(sys.argv[1:] if argv is None else argv)
+    except (CliError, GeometryError, SceneFormatError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(json.dumps({"status": "error", "message": str(exc)}))
         return 3
-    except Exception as exc:  # noqa: BLE001 - map library errors to input errors
-        from .geometry import GeometryError
-        from .sceneio import SceneFormatError
-
-        if isinstance(exc, (GeometryError, SceneFormatError, ValueError, IndexError)):
-            print(f"error: {exc}", file=sys.stderr)
-            print(json.dumps({"status": "error", "message": str(exc)}))
-            return 3
-        raise
     print(json.dumps(result.payload, indent=2))
     return result.exit_code
 

@@ -22,6 +22,8 @@ _CONSTRUCTION_TOL = 1e-12
 _MAX_REJECTIONS = 100_000
 _MIN_GAP = 0.01     # least surface gap between two sampled balls
 _STANDOFF = 0.05    # least clearance of a sampled exterior point
+_CENTER_BOX = 5.0   # half-width of the box random_disjoint_balls draws centers from
+_POINT_BOX = 6.0    # half-width of the box random_exterior_point draws from
 
 
 @dataclass(eq=False)
@@ -47,8 +49,8 @@ class LemmaConfig:
         return self.vertices.mean(axis=0)
 
 
-def build_lemma(side: float = 1.0, topology: str = CLOSED) -> LemmaConfig:
-    """Three discs of radius side*sqrt(3)/4 at the vertices of an equilateral triangle."""
+def build_lemma(side: float = 1.0) -> LemmaConfig:
+    """Three closed discs of radius side*sqrt(3)/4 at the vertices of an equilateral triangle."""
     if not (math.isfinite(side) and side > 0):
         raise ValueError("triangle side must be positive")
     s = float(side)
@@ -58,7 +60,7 @@ def build_lemma(side: float = 1.0, topology: str = CLOSED) -> LemmaConfig:
         [s / 2.0, s * math.sqrt(3.0) / 2.0],
     ])
     rho = s * math.sqrt(3.0) / 4.0
-    balls = [Ball(v, rho, topology) for v in vertices]
+    balls = [Ball(v, rho, CLOSED) for v in vertices]
     scene = Scene(2, balls, label=f"lemma-triangle-side-{s:g}")
     if scene.disjointness_violations(_CONSTRUCTION_TOL):
         raise InvariantViolation("vertex discs must be pairwise disjoint")
@@ -138,12 +140,11 @@ def random_equal_balls(dim: int, k: int, radius: float, seed: int,
 
 
 def random_disjoint_balls(dim: int, k: int, seed: int,
-                          radius_range: tuple[float, float] = (0.2, 1.5),
-                          topology: str = CLOSED, box: float = 5.0) -> Scene:
-    """k disjoint balls with radii drawn uniformly from radius_range = (lo, hi).
+                          radius_range: tuple[float, float] = (0.2, 1.5)) -> Scene:
+    """k disjoint closed balls with radii drawn uniformly from radius_range = (lo, hi).
 
-    Rejection sampling keeps surface gaps of at least 0.01; the range must
-    satisfy 0 < lo <= hi < inf.
+    Centers are drawn from [-5, 5]^dim and rejection sampling keeps surface
+    gaps of at least 0.01; the range must satisfy 0 < lo <= hi < inf.
     """
     lo, hi = radius_range
     if k < 0 or dim < 1 or not (0 < lo <= hi and math.isfinite(hi)):
@@ -153,7 +154,7 @@ def random_disjoint_balls(dim: int, k: int, seed: int,
     placed = rejections = 0
     while placed < k:
         r = rng.uniform(lo, hi)
-        c = rng.uniform(-box, box, dim)
+        c = rng.uniform(-_CENTER_BOX, _CENTER_BOX, dim)
         if (flat_clearances(centers[:placed], radii[:placed], c) >= r + _MIN_GAP).all():
             centers[placed], radii[placed] = c, r
             placed += 1
@@ -162,7 +163,7 @@ def random_disjoint_balls(dim: int, k: int, seed: int,
             if rejections > _MAX_REJECTIONS:
                 raise GenerationFailed(
                     f"could not place {k} balls with radii in {radius_range}")
-    balls = [Ball(c, r, topology) for c, r in zip(centers, radii.tolist())]
+    balls = [Ball(c, r, CLOSED) for c, r in zip(centers, radii.tolist())]
     return Scene(dim, balls, label=f"random-{dim}d-k{k}-seed{seed}")
 
 
@@ -182,11 +183,11 @@ def boundary_sample(scene: Scene, ball_index: int, count: int, seed: int) -> lis
     return list(pts[clear.min(axis=1) > 0.0])
 
 
-def random_exterior_point(scene: Scene, seed: int, box: float = 6.0) -> np.ndarray:
-    """A seeded point of [-box, box]^dim at clearance >= 0.05 from every ball in the scene."""
+def random_exterior_point(scene: Scene, seed: int) -> np.ndarray:
+    """A seeded point of [-6, 6]^dim at clearance >= 0.05 from every ball in the scene."""
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_REJECTIONS):
-        x = rng.uniform(-box, box, scene.dim)
+        x = rng.uniform(-_POINT_BOX, _POINT_BOX, scene.dim)
         if not scene.balls or float(scene.clearances(x).min()) >= _STANDOFF:
             return x
     raise GenerationFailed("could not find an exterior point clear of every ball")

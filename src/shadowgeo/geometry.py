@@ -221,7 +221,10 @@ class Band:
 class Cap:
     """Spherical cap {p in S^2 : p . axis >= cos(angular_radius)}.
 
-    angular_radius 0 means empty, pi means the whole sphere.
+    angular_radius 0 means empty, pi means the whole sphere.  ``topology``
+    is validated and carried but read nowhere: ``contains``, ``CapSet``,
+    ``falsify`` and the boundary arrangement all treat every cap as closed
+    (ROADMAP item 4).
     """
 
     axis: np.ndarray

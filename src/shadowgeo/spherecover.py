@@ -220,7 +220,9 @@ def cover_sphere(caps: CapSet, tol: float = TOL) -> SphereCoverage:
     every boundary circle is covered by the other caps, indeterminate when
     some arc is left open but no direction clears the tolerance (the
     configuration sits within tol of tangency; never guessed).  ``falsify``
-    costs O(k^3) in the number of caps; see there.
+    costs O(k^3) in the number of caps; see there.  Every cap counts as
+    closed, whatever its ``topology``: a direction that lies only on the
+    boundaries of open caps counts as covered (ROADMAP item 4).
     """
     if not caps.caps:
         return SphereCoverage(UNCOVERED, np.array([0.0, 0.0, 1.0]), math.inf, stage="trivial")

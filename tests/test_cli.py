@@ -5,10 +5,11 @@ import sys
 
 import pytest
 
+from shadowgeo import cli
 from shadowgeo.cli import CliError, dispatch, main
-from shadowgeo.sceneio import dump_scene, load_scene_text
+from shadowgeo.sceneio import SceneFormatError, dump_scene, load_scene_text
 from shadowgeo.constructions import build_lemma, random_equal_balls
-from shadowgeo.geometry import unit
+from shadowgeo.geometry import GeometryError, unit
 
 
 @pytest.fixture()
@@ -359,16 +360,32 @@ def test_main_warns_on_overlapping_scene(capsys, tmp_path):
     assert json.loads(captured.out)["verdict"] in ("shadowed", "not_shadowed")
 
 
-def test_thread_cap_env_var(monkeypatch, capsys, lemma_file):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("SHADOW_ORACLE_THREADS", "1")
-    import os
+@pytest.mark.parametrize("error", [
+    CliError("bad invocation"),
+    GeometryError("bad geometry"),
+    SceneFormatError("bad scene"),
+    ValueError("bad value"),
+    IndexError("bad index"),
+], ids=lambda error: type(error).__name__)
+def test_main_maps_each_input_error_kind_to_exit_3(monkeypatch, capsys, lemma_file, error):
+    def fail(*args, **kwargs):
+        raise error
 
-    assert main(["shadow", "check", "--scene", lemma_file, "--point", "9,9"]) == 0
-    capsys.readouterr()
-    assert os.environ["OMP_NUM_THREADS"] == "1"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setattr(cli, "point_shadow", fail)
+    code = main(["shadow", "check", "--scene", lemma_file, "--point", "9,9"])
+    assert code == 3
+    out = capsys.readouterr()
+    assert json.loads(out.out) == {"status": "error", "message": str(error)}
+    assert out.err == f"error: {error}\n"
+
+
+def test_main_reraises_errors_that_are_not_input_errors(monkeypatch, lemma_file):
+    def fail(*args, **kwargs):
+        raise RuntimeError("decision broke")
+
+    monkeypatch.setattr(cli, "point_shadow", fail)
+    with pytest.raises(RuntimeError, match="decision broke"):
+        main(["shadow", "check", "--scene", lemma_file, "--point", "9,9"])
 
 
 def test_console_entry_point_and_stdin_pipe():

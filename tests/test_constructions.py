@@ -145,4 +145,4 @@ def test_random_exterior_point_can_fail():
     sc = random_equal_balls(2, 1, 0.5, seed=0)
     huge = type(sc)(2, [type(sc.balls[0])([0.0, 0.0], 50.0)])
     with pytest.raises(GenerationFailed):
-        random_exterior_point(huge, seed=0, box=6.0)
+        random_exterior_point(huge, seed=0)
