@@ -130,17 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     shadow = sub.add_parser("shadow", help="shadow decisions at a point")
     shadow_sub = shadow.add_subparsers(dest="subcommand", required=True)
-    check = shadow_sub.add_parser("check", help="is every line through the point blocked?")
-    check.add_argument("--scene", required=True)
-    check.add_argument("--point", required=True)
-    check.add_argument("--tol", type=_tolerance, default=1e-9)
-    check.set_defaults(run=_cmd_shadow_check)
-    tangent = shadow_sub.add_parser("tangent",
-                                    help="is every tangent line of S^2 at the point blocked?")
-    tangent.add_argument("--scene", required=True)
-    tangent.add_argument("--point", required=True)
-    tangent.add_argument("--tol", type=_tolerance, default=1e-9)
-    tangent.set_defaults(run=_cmd_shadow_tangent)
+    # the tangent question is the point question with the extra axis x
+    for name, lines, decide, echo in (
+            ("check", "line through the point", point_shadow, list),
+            ("tangent", "tangent line of S^{n-1} at the point", tangent_shadow, unit)):
+        question = shadow_sub.add_parser(name, help=f"is every {lines} blocked?")
+        question.add_argument("--scene", required=True)
+        question.add_argument("--point", required=True)
+        question.add_argument("--tol", type=_tolerance, default=1e-9)
+        question.set_defaults(run=_cmd_shadow, decide=decide, echo=echo)
 
     plane = sub.add_parser("plane", help="avoiding-plane search")
     plane_sub = plane.add_subparsers(dest="subcommand", required=True)
@@ -220,13 +218,13 @@ def _scene_and_point(args):
     return scene, x
 
 
-def _cmd_shadow_check(args) -> RunResult:
+def _cmd_shadow(args) -> RunResult:
     scene, x = _scene_and_point(args)
-    verdict = point_shadow(scene, x, args.tol)
+    verdict = args.decide(scene, x, args.tol)
     payload = {
-        "command": "shadow check",
+        "command": f"shadow {args.subcommand}",
         "scene": scene.label,
-        "point": x,
+        "point": args.echo(x),
         "verdict": verdict.verdict,
         "shadowed": verdict.shadowed,
         "trivial": verdict.trivial,
@@ -235,27 +233,7 @@ def _cmd_shadow_check(args) -> RunResult:
         "margin": verdict.margin,
         "gap": verdict.gap,
     }
-    code = 2 if verdict.verdict == INDETERMINATE else 0
-    return RunResult(code, payload)
-
-
-def _cmd_shadow_tangent(args) -> RunResult:
-    scene = _load_scene(args.scene)
-    x = _parse_point(args.point)
-    if len(x) != 3:
-        raise CliError("tangent shadows need a 3-coordinate point on the unit sphere")
-    verdict = tangent_shadow(scene, x, args.tol)
-    payload = {
-        "command": "shadow tangent",
-        "scene": scene.label,
-        "point": unit(x),
-        "verdict": verdict.verdict,
-        "shadowed": verdict.shadowed,
-        "witness_direction": verdict.witness_direction,
-        "margin": verdict.margin,
-        "gap": verdict.gap,
-    }
-    return RunResult(0, payload)
+    return RunResult(2 if verdict.verdict == INDETERMINATE else 0, payload)
 
 
 def _cmd_plane_find(args) -> RunResult:

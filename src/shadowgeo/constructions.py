@@ -112,6 +112,25 @@ def build_cube14(topology: str = OPEN) -> Cube14Config:
                         tangent_vertex_pairs=12, tangent_face_pairs=24)
 
 
+def _place_disjoint(k: int, dim: int, draw, failure: str) -> tuple[np.ndarray, list[float]]:
+    """Rejection-sample k balls, one ``draw() -> (radius, centre)`` per attempt.
+
+    An attempt is kept when it keeps a surface gap of _MIN_GAP to every kept ball.
+    """
+    centers, radii = np.empty((k, dim)), np.empty(k)
+    placed = rejections = 0
+    while placed < k:
+        r, c = draw()
+        if (flat_clearances(centers[:placed], radii[:placed], c) >= r + _MIN_GAP).all():
+            centers[placed], radii[placed] = c, r
+            placed += 1
+        else:
+            rejections += 1
+            if rejections > _MAX_REJECTIONS:
+                raise GenerationFailed(failure)
+    return centers, radii.tolist()
+
+
 def random_equal_balls(dim: int, k: int, radius: float, seed: int,
                        topology: str = CLOSED, box: float = 5.0) -> Scene:
     """k disjoint equal balls with centers drawn uniformly from [-box, box]^dim.
@@ -123,19 +142,10 @@ def random_equal_balls(dim: int, k: int, radius: float, seed: int,
     if k < 0 or dim < 1 or not (math.isfinite(radius) and radius > 0):
         raise ValueError("need dim >= 1, k >= 0 and a finite positive radius")
     rng = np.random.default_rng(seed)
-    centers = np.empty((k, dim))
-    placed = rejections = 0
-    while placed < k:
-        c = rng.uniform(-box, box, dim)
-        if (flat_clearances(centers[:placed], radius, c) >= radius + _MIN_GAP).all():
-            centers[placed] = c
-            placed += 1
-        else:
-            rejections += 1
-            if rejections > _MAX_REJECTIONS:
-                raise GenerationFailed(
-                    f"could not place {k} balls of radius {radius} in a box of half-width {box}")
-    balls = [Ball(c, radius, topology) for c in centers]
+    centers, radii = _place_disjoint(
+        k, dim, lambda: (radius, rng.uniform(-box, box, dim)),
+        f"could not place {k} balls of radius {radius} in a box of half-width {box}")
+    balls = [Ball(c, r, topology) for c, r in zip(centers, radii)]
     return Scene(dim, balls, label=f"random-equal-{dim}d-k{k}-seed{seed}")
 
 
@@ -150,20 +160,11 @@ def random_disjoint_balls(dim: int, k: int, seed: int,
     if k < 0 or dim < 1 or not (0 < lo <= hi and math.isfinite(hi)):
         raise ValueError("need dim >= 1, k >= 0 and a finite 0 < lo <= hi")
     rng = np.random.default_rng(seed)
-    centers, radii = np.empty((k, dim)), np.empty(k)
-    placed = rejections = 0
-    while placed < k:
-        r = rng.uniform(lo, hi)
-        c = rng.uniform(-_CENTER_BOX, _CENTER_BOX, dim)
-        if (flat_clearances(centers[:placed], radii[:placed], c) >= r + _MIN_GAP).all():
-            centers[placed], radii[placed] = c, r
-            placed += 1
-        else:
-            rejections += 1
-            if rejections > _MAX_REJECTIONS:
-                raise GenerationFailed(
-                    f"could not place {k} balls with radii in {radius_range}")
-    balls = [Ball(c, r, CLOSED) for c, r in zip(centers, radii.tolist())]
+    # radius first, then centre: the order every seeded scene was drawn in
+    centers, radii = _place_disjoint(
+        k, dim, lambda: (rng.uniform(lo, hi), rng.uniform(-_CENTER_BOX, _CENTER_BOX, dim)),
+        f"could not place {k} balls with radii in {radius_range}")
+    balls = [Ball(c, r, CLOSED) for c, r in zip(centers, radii)]
     return Scene(dim, balls, label=f"random-{dim}d-k{k}-seed{seed}")
 
 

@@ -253,7 +253,8 @@ class Cap:
 
     def contains(self, p, tol: float = 0.0) -> bool:
         p = as_vector(p, 3)
-        return float(p @ self.axis) >= math.cos(self.angular_radius) - tol
+        # sin(pi/2 - b) is cos(b), but exactly 0 for a hemisphere, where cos(pi/2) is 6e-17
+        return float(p @ self.axis) >= math.sin(math.pi / 2 - self.angular_radius) - tol
 
 
 def ball_band(x, ball: Ball, tol: float = TOL) -> Band:

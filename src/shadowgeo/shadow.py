@@ -8,7 +8,7 @@ and the line x + t d misses the closed ball iff |d . p_i| < 1.  The
 directions still allowed form a subspace with m orthonormal basis rows B:
 
 - all of R^n for a point outside every ball;
-- the tangent plane T_x S^2 for the tangent-line question;
+- the tangent space T_x S^{n-1} for the tangent-line question;
 - for a point on the boundary of open balls, the directions orthogonal
   to the touching axes, since a line through x misses a touching open
   ball only when it is tangent to it.  A touching closed ball shadows x
@@ -22,21 +22,22 @@ contains the unit ball.  The decision depends only on m:
 
 - m = 0: no line is left ("boundary-pinched");
 - m = 1: the single candidate line is checked ball by ball, a tangent
-  line hitting closed balls only ("boundary-candidate");
+  line hitting closed balls only ("boundary-candidate", or "tangent" for
+  the tangent question in R^2 with no touching ball);
 - m = 2: an arc cover on the period-pi circle, the arc of q_i centred at
   its polar angle with half-width acos(1/|q_i|) ("arc-union",
   "boundary-circle", "tangent");
-- m >= 3: the polar-hull test ("polar-hull").  If some unit normal w of
-  a hyperplane has max |w . q_i| < 1 - tol, w is the witness; otherwise
-  qhull builds conv{+-q_i}, x is shadowed iff its nearest facet lies at
-  distance h_min >= 1 - tol from the origin, and else that facet's
-  normal is the witness.  A qhull failure gives "indeterminate".
+- m >= 3: the polar-hull test ("polar-hull").  x is shadowed iff the
+  facet of conv{+-q_i} nearest the origin lies at distance
+  h_min >= 1 - tol, and else that facet's normal is the witness.  A qhull
+  failure gives "indeterminate" unless some normal is known to escape.
 
 Arc gaps and facet distances within tol of closing count as closed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -127,35 +128,45 @@ def witness_clearance(scene: Scene, x, d, skip: tuple[int, ...] = ()) -> float:
 def _ball_vectors(scene: Scene, x: np.ndarray, tol: float):
     """Centre offsets c_i - x, their lengths and the point clearances, as arrays.
 
-    Raises PointInsideBall when x is inside some ball by more than tol.
+    x is an already validated vector.  Raises PointInsideBall when x is
+    inside some ball by more than tol.
     """
-    clear = scene.clearances(x)
-    inside = np.flatnonzero(clear < -tol)
-    if inside.size:
-        raise PointInsideBall(int(inside[0]))
+    clear = flat_clearances(scene.centers, scene.radii, x)
+    inside = clear < -tol
+    if inside.any():
+        raise PointInsideBall(int(np.argmax(inside)))
     v = scene.centers - x
     return v, np.linalg.norm(v, axis=1), clear
 
 
 def _polar_hull(q: np.ndarray, tol: float) -> tuple[np.ndarray, float] | None:
-    """A unit u in R^m and h = max_i |u . q_i|, or None when qhull fails.
+    """The unit u in R^m of least h = max_i |u . q_i|, and h, or None when qhull fails.
 
-    h < 1 - tol whenever some direction reaches that: a nearly flat set
-    answers with the normal w of least spread, and otherwise u is the
-    outward normal of the facet of conv{+-q_i} nearest the origin, whose
-    distance h is the least h over all directions.
+    A set flat within tol answers with its normal w of least spread.  For
+    m independent q_i, the rows of Q, h = 1 / max_s |Q^-1 s| over the
+    sign vectors s, with no hull; otherwise u is the outward normal of
+    qhull's facet of conv{+-q_i} nearest the origin.  When qhull fails,
+    w still answers if its spread is below 1 - tol.
     """
     w = np.linalg.svd(q)[2][-1]
     spread = float(np.max(np.abs(q @ w), initial=0.0))
-    if spread < 1.0 - tol:
+    if spread <= tol:
         return w, spread
+    k, m = q.shape
+    if k == m:
+        # s and -s give the same facet pair, so the first sign stays +1
+        signs = np.array([(1.0, *s) for s in itertools.product((1.0, -1.0), repeat=m - 1)])
+        y = np.linalg.solve(q, signs.T)
+        norms = np.linalg.norm(y, axis=0)
+        j = int(np.argmax(norms))
+        return y[:, j] / norms[j], 1.0 / float(norms[j])
     # imported on first use: scipy.spatial adds about 0.1 s to start-up
     from scipy.spatial import ConvexHull, QhullError
 
     try:
         hull = ConvexHull(np.vstack([q, -q]))
     except QhullError:
-        return None
+        return (w, spread) if spread < 1.0 - tol else None
     # rows are (normal, offset) with offset = -distance from the origin
     i = int(np.argmax(hull.equations[:, -1]))
     return hull.equations[i, :-1], -float(hull.equations[i, -1])
@@ -177,12 +188,14 @@ def _free_directions(axes: np.ndarray, n: int) -> np.ndarray:
 def _decide(scene: Scene, x: np.ndarray, axes: np.ndarray, tol: float,
             circle_method: str) -> ShadowVerdict:
     """Shadow decision over the lines through x orthogonal to every row of ``axes``."""
+    if scene.dim < 2:
+        raise DimensionUnsupported(f"shadow decisions need dimension 2 or more, not {scene.dim}")
     v, dist, clear = _ball_vectors(scene, x, tol)
     touch = np.abs(clear) <= tol
-    touching = np.flatnonzero(touch).tolist()
-    closed = np.flatnonzero(touch & scene.closed)
-    if closed.size:
-        return ShadowVerdict(SHADOWED, trivial=True, boundary_index=int(closed[0]),
+    touching = np.flatnonzero(touch).tolist() if touch.any() else []
+    closed = touch & scene.closed
+    if closed.any():
+        return ShadowVerdict(SHADOWED, trivial=True, boundary_index=int(np.argmax(closed)),
                              method="boundary-closed")
     boundary = touching[0] if touching else None
     if touching:
@@ -191,7 +204,8 @@ def _decide(scene: Scene, x: np.ndarray, axes: np.ndarray, tol: float,
             circle_method = "boundary-circle"
     basis = _free_directions(axes, scene.dim)
     m = len(basis)
-    method = {0: "boundary-pinched", 1: "boundary-candidate",
+    # one free direction and no touching ball: the tangent question in R^2
+    method = {0: "boundary-pinched", 1: "boundary-candidate" if touching else circle_method,
               2: circle_method}.get(m, "polar-hull")
     free = ~touch
     # the power |c_i - x|^2 - r_i^2 of x with respect to each free ball
@@ -201,7 +215,7 @@ def _decide(scene: Scene, x: np.ndarray, axes: np.ndarray, tol: float,
     if m == 0:
         return ShadowVerdict(SHADOWED, boundary_index=boundary, method=method)
     if m == 1:
-        c = scene.clearances(x, basis)[free]
+        c = flat_clearances(scene.centers, scene.radii, x, basis)[free]
         if np.any((c < -tol) | ((c <= tol) & scene.closed[free])):
             return ShadowVerdict(SHADOWED, boundary_index=boundary, method=method)
         u = np.ones(1)
@@ -234,23 +248,20 @@ def point_shadow(scene: Scene, x, tol: float = TOL) -> ShadowVerdict:
     only the lines tangent to each touching ball.
     """
     x = as_vector(x, scene.dim)
-    if scene.dim < 2:
-        raise DimensionUnsupported(f"shadow decisions need dimension 2 or more, not {scene.dim}")
     return _decide(scene, x, np.empty((0, scene.dim)), tol, "arc-union")
 
 
 def tangent_shadow(scene: Scene, x, tol: float = TOL) -> ShadowVerdict:
-    """Shadow decision restricted to tangent lines of S^2 at a sphere point x.
+    """Exact shadow decision for the lines tangent to S^{n-1} at a sphere point x.
 
-    x is normalized onto the unit sphere and must be outside every ball.
-    The verdict says whether the balls block every tangent line at x.  A
-    ball whose sphere passes through x follows its topology, as in
+    The point question with one more axis, in any dimension n from 2 up:
+    x is normalized onto the unit sphere and must be outside every ball,
+    and the candidates are the lines through x orthogonal to x (one line
+    in R^2, a circle of lines in R^3, the polar-hull test beyond).  A ball
+    whose sphere passes through x follows its topology, as in
     :func:`point_shadow`.
     """
-    if scene.dim != 3:
-        raise DimensionUnsupported("tangent shadows are defined on S^2 in R^3")
-    x = unit(as_vector(x, 3))
-    # a line tangent to S^2 at x is a line through x orthogonal to x
+    x = unit(as_vector(x, scene.dim))
     return _decide(scene, x, x[None, :], tol, "tangent")
 
 

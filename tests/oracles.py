@@ -134,3 +134,25 @@ def point_shadow_sampled(scene, x, n=4000, seed=0):
         if not hit:
             return False, d
     return True, None
+
+
+def tangent_shadow_sampled(scene, x, n=400, seed=0):
+    """(shadowed?, missing direction or None) over random unit directions orthogonal to x.
+
+    The tangent lines of the unit sphere at x / |x| in any dimension: each
+    Gaussian draw loses its component along x before it is normalized.
+    """
+    rng = np.random.default_rng(seed)
+    x = np.asarray(x, dtype=float)
+    x = x / np.linalg.norm(x)
+    for _ in range(n):
+        d = rng.normal(size=x.size)
+        d -= (d @ x) * x
+        nd = np.linalg.norm(d)
+        if nd < 1e-12:
+            continue
+        d /= nd
+        if not any(line_hits(x, d, b.center, b.radius, closed=b.topology == "closed")
+                   for b in scene.balls):
+            return False, d
+    return True, None

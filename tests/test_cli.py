@@ -78,6 +78,50 @@ def test_shadow_tangent_prints_the_normalised_point(tmp_path):
         assert res.payload["point"] == unit(point).tolist()
 
 
+def test_shadow_tangent_in_r2_and_r4(tmp_path):
+    plane = tmp_path / "plane.json"
+    plane.write_text(json.dumps({"dim": 2, "balls": [{"center": [1.0, 3.0], "radius": 1.0}]}))
+    res = dispatch(["shadow", "tangent", "--scene", str(plane), "--point", "2,0"])
+    assert res.exit_code == 0
+    assert res.payload["point"] == [1.0, 0.0]
+    assert res.payload["verdict"] == "shadowed"
+    assert res.payload["method"] == "tangent"
+    four = tmp_path / "four.json"
+    four.write_text(json.dumps({"dim": 4, "balls": [
+        {"center": [3.0, 0.0, 0.0, 1.0], "radius": 1.0},
+        {"center": [0.0, 3.0, 0.0, 1.0], "radius": 1.0}]}))
+    res = dispatch(["shadow", "tangent", "--scene", str(four), "--point", "0,0,0,1"])
+    assert res.exit_code == 0
+    assert res.payload["verdict"] == "not_shadowed"
+    assert res.payload["method"] == "polar-hull"
+    assert abs(res.payload["witness_direction"][3]) < 1e-12
+    assert res.payload["margin"] > 0
+
+
+def test_shadow_tangent_keys_match_shadow_check(tmp_path):
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(dispatch(["scene", "gen", "cube14"]).payload))
+    check = dispatch(["shadow", "check", "--scene", str(path), "--point", "0,0,0"])
+    tangent = dispatch(["shadow", "tangent", "--scene", str(path), "--point", "0.3,0.2,1"])
+    assert list(tangent.payload) == list(check.payload)
+    assert tangent.payload["command"] == "shadow tangent"
+
+
+def test_shadow_tangent_exits_2_when_indeterminate(monkeypatch, capsys, tmp_path):
+    from shadowgeo.shadow import INDETERMINATE, ShadowVerdict
+
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(dispatch(["scene", "gen", "cube14"]).payload))
+    monkeypatch.setattr(cli, "tangent_shadow",
+                        lambda *args: ShadowVerdict(INDETERMINATE, method="polar-hull"))
+    code = main(["shadow", "tangent", "--scene", str(path), "--point", "0.3,0.2,1"])
+    assert code == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "indeterminate"
+    assert out["verdict"] == "indeterminate"
+    assert out["shadowed"] is None
+
+
 def test_plane_find_exact_and_heuristic(octa_file):
     found = dispatch(["plane", "find", "--scene", octa_file, "--point", "0,0,0", "--m", "1"])
     assert found.exit_code == 0
@@ -249,8 +293,8 @@ def test_bad_inputs_raise_cli_errors(lemma_file):
         dispatch(["shadow", "check", "--scene", "/nonexistent.json", "--point", "1,2"])
     with pytest.raises(CliError):
         dispatch(["bogus"])
-    with pytest.raises(CliError):
-        dispatch(["shadow", "tangent", "--scene", lemma_file, "--point", "1,0"])
+    with pytest.raises(CliError, match="point has 3 coordinates, scene dimension is 2"):
+        dispatch(["shadow", "tangent", "--scene", lemma_file, "--point", "1,0,0"])
 
 
 def test_main_maps_errors_to_exit_3(capsys, lemma_file):

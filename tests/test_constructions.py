@@ -106,6 +106,11 @@ def test_random_disjoint_balls_radius_range():
             random_disjoint_balls(2, 3, seed=0, radius_range=bad)
 
 
+def test_sampled_radii_are_python_floats():
+    for sc in (random_equal_balls(3, 4, 1, seed=5), random_disjoint_balls(3, 4, seed=5)):
+        assert all(type(b.radius) is float for b in sc.balls)
+
+
 def test_boundary_sample_lies_on_sphere_and_outside_others():
     sc = random_equal_balls(3, 3, 1.0, seed=7, topology=OPEN)
     pts = boundary_sample(sc, 1, 50, seed=9)

@@ -148,6 +148,15 @@ def test_cap_validation():
     assert not cap.is_empty and not cap.is_full
 
 
+def test_closed_hemisphere_cap_contains_its_equator():
+    # cos(pi/2) is 6.1e-17, which would leave the equator outside at tol = 0
+    cap = Cap(np.array([0.0, 0.0, 1.0]), math.pi / 2)
+    for t in np.linspace(0.0, 2 * math.pi, 13):
+        assert cap.contains([math.cos(t), math.sin(t), 0.0])
+    assert cap.contains([0.0, 0.0, 1.0])
+    assert not cap.contains([0.0, 0.0, -1.0])
+
+
 def test_orthonormal_basis_is_deterministic_and_orthonormal():
     axis = unit([0.3, -0.5, 0.81])
     e1, e2 = orthonormal_basis(axis)

@@ -4,9 +4,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from shadowgeo.constructions import build_cube14, build_lemma, random_equal_balls
+from shadowgeo.constructions import (
+    build_cube14,
+    build_lemma,
+    random_disjoint_balls,
+    random_equal_balls,
+)
 from shadowgeo.geometry import (
     CLOSED,
     OPEN,
@@ -25,6 +30,7 @@ from shadowgeo.shadow import (
     NOT_SHADOWED,
     SHADOWED,
     PlaneFrame,
+    _polar_hull,
     find_avoiding_plane,
     heuristic_shadow,
     point_shadow,
@@ -32,7 +38,13 @@ from shadowgeo.shadow import (
     witness_clearance,
 )
 
-from oracles import line_hits, point_shadow_sampled, tangent_gap_angles
+from oracles import (
+    line_ball_min_distance,
+    line_hits,
+    point_shadow_sampled,
+    tangent_gap_angles,
+    tangent_shadow_sampled,
+)
 
 
 def three_discs_at_120(radius):
@@ -286,6 +298,38 @@ def test_dim4_open_boundary_two_touching_axes():
         assert not line_hits(v.witness_point, v.witness_direction, b.center, b.radius)
 
 
+def test_polar_hull_answers_with_the_best_direction():
+    # three radius-1 balls around x = 0, scaled by 0.01: the q_i are far from
+    # flat and the nearest facet of conv{+-q_i} lies at 0.585, yet a witness
+    # taken from the least-spread normal had search_margin 1e-9 and clearance
+    # 3.4e-10, below tol
+    centers = [[0.04672655877363481, 0.22756575350630548, -2.5151551908003773],
+               [0.9521320573286192, -5.804688173902255, -0.6684480847655428],
+               [3.2017669324857874, 0.4842448533583341, -0.20932999298327165]]
+    sc = Scene(3, [Ball(0.01 * np.array(c), 0.01) for c in centers])
+    v = point_shadow(sc, np.zeros(3))
+    assert v.verdict == NOT_SHADOWED
+    assert v.method == "polar-hull"
+    assert v.search_margin > 0.4
+    assert v.margin > 1e-9
+    certify_not_shadowed(sc, v)
+
+
+@given(st.integers(3, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_polar_hull_closed_form_matches_qhull(m, seed):
+    from scipy.spatial import ConvexHull
+
+    q = np.random.default_rng(seed).normal(size=(m, m))
+    assume(abs(np.linalg.det(q)) > 1e-3)
+    u, h = _polar_hull(q, 1e-9)
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(q @ u)) == pytest.approx(h, rel=1e-9)
+    # qhull's facet rows are (normal, -distance from the origin)
+    nearest = -np.max(ConvexHull(np.vstack([q, -q])).equations[:, -1])
+    assert h == pytest.approx(nearest, rel=1e-9)
+
+
 # ------------------------------------------------------------- tangent lines
 
 
@@ -318,8 +362,17 @@ def test_tangent_shadow_rejects_point_inside_ball():
     scene = build_cube14().scene
     with pytest.raises(PointInsideBall):
         tangent_shadow(scene, unit([1.0, 1.0, 1.0]))
+    # in R^2 the one tangent line at x = e1 is the vertical line through it
+    v = tangent_shadow(Scene(2, [Ball([3.0, 0.0], 1.0)]), [2.0, 0.0])
+    assert v.verdict == NOT_SHADOWED
+    assert v.method == "tangent"
+    np.testing.assert_allclose(np.abs(v.witness_direction), [0.0, 1.0], atol=1e-12)
+    assert v.margin == pytest.approx(1.0)
+    blocked = tangent_shadow(Scene(2, [Ball([1.0, 3.0], 1.0)]), [1.0, 0.0])
+    assert blocked.verdict == SHADOWED
+    assert blocked.method == "tangent"
     with pytest.raises(DimensionUnsupported):
-        tangent_shadow(Scene(2, [Ball([3.0, 0.0], 1.0)]), [1.0, 0.0])
+        tangent_shadow(Scene(1, [Ball([3.0], 1.0)]), [1.0])
 
 
 def test_tangent_shadow_on_a_ball_sphere_follows_topology():
@@ -337,6 +390,12 @@ def test_tangent_shadow_on_a_ball_sphere_follows_topology():
     certify_not_shadowed(sc, v)
     blocked = Scene(3, [Ball([1.0, 0.0, 1.0], 1.0, OPEN), Ball([0.0, 3.0, 1.0], 1.0)])
     assert tangent_shadow(blocked, x).verdict == SHADOWED
+    # in R^2 the one tangent line at e1 is tangent to an open disc centred at
+    # 2 e1 too, so a touching case keeps its label; the disc above blocks it
+    v = tangent_shadow(Scene(2, [Ball([2.0, 0.0], 1.0, OPEN), Ball([1.0, 3.0], 1.0)]), [1.0, 0.0])
+    assert v.verdict == SHADOWED
+    assert v.method == "boundary-candidate"
+    assert v.boundary_index == 0
 
 
 def outside_sphere_points(scene, n, count):
@@ -386,6 +445,58 @@ def test_tangent_shadow_empty_scene():
     v = tangent_shadow(Scene(3, []), [0.0, 0.0, 1.0])
     assert v.verdict == NOT_SHADOWED
     assert v.gap == math.pi
+
+
+@st.composite
+def tangent_query(draw):
+    """A disjoint closed scene in R^2-R^5 packed around the unit sphere, and a sphere point."""
+    dim = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 10_000))
+    raw = random_disjoint_balls(dim, draw(st.integers(1, 3 * dim)), seed,
+                                radius_range=(0.5, 2.0))
+    # a uniform scaling keeps the balls disjoint and brings them near the sphere
+    sc = Scene(dim, [Ball(0.4 * b.center, 0.4 * b.radius) for b in raw.balls])
+    rng = np.random.default_rng(seed)
+    for x in rng.normal(size=(20, dim)):
+        x = x / np.linalg.norm(x)
+        if sc.clearances(x).min() > 1e-3:
+            return sc, x
+    assume(False)
+
+
+@given(tangent_query())
+@settings(max_examples=40)
+def test_tangent_verdicts_in_every_dimension_agree_with_sampling(case):
+    sc, x = case
+    v = tangent_shadow(sc, x)
+    assert v.verdict in (SHADOWED, NOT_SHADOWED)
+    if v.verdict == NOT_SHADOWED:
+        d = v.witness_direction
+        assert abs(d @ x) < 1e-9
+        for b in sc.balls:
+            assert line_ball_min_distance(x, d, b.center, b.radius) > 1e-9
+    else:
+        shadowed, miss = tangent_shadow_sampled(sc, x, n=200, seed=0)
+        assert shadowed, f"sampled miss {miss}"
+
+
+def test_tangent_shadow_in_r5_is_the_point_question_in_r4():
+    # the tangent lines at e5 are the lines through e5 inside the hyperplane
+    # x5 = 1, so shells centred at e5 in it shadow e5 iff they shadow 0 in R^4
+    e5 = np.eye(5)[4]
+    for rho, verdict in ((0.7, SHADOWED), (0.6, NOT_SHADOWED)):
+        flat = concentric_shells(4, CROSS_4, rho, 6.0, 6, seed=20)
+        sc = Scene(5, [Ball(np.append(b.center, 1.0), b.radius) for b in flat.balls])
+        v = tangent_shadow(sc, e5)
+        assert v.verdict == verdict == point_shadow(flat, np.zeros(4)).verdict
+        assert v.method == "polar-hull"
+        if verdict == SHADOWED:
+            shadowed, miss = tangent_shadow_sampled(sc, e5, n=200, seed=2)
+            assert shadowed, f"sampled miss {miss}"
+        else:
+            assert abs(v.witness_direction[4]) < 1e-12
+            assert v.margin > 1e-9
+            certify_not_shadowed(sc, v)
 
 
 def test_shadow_decisions_load_no_scipy():
