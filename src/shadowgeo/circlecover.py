@@ -3,9 +3,10 @@
 Arcs live on a circle of period pi (undirected line directions) or 2*pi
 (oriented directions, boundary-circle parameters).  Every arc the package
 builds, for shadow decisions, tangent lines and cap boundary circles,
-comes from one rule, :func:`threshold_arcs`.  Coverage fuses gaps
-shorter than ``tol`` so that exact-tangency unions count as covered
-instead of leaking hairline float gaps.
+comes from one rule, :func:`threshold_arcs`, and one merge decides
+coverage, both on (center, half_width) float pairs that ``Arc`` wraps.
+Coverage fuses gaps shorter than ``tol`` so that exact-tangency unions
+count as covered instead of leaking hairline float gaps.
 """
 
 from __future__ import annotations
@@ -84,6 +85,15 @@ class ArcSet:
         return len(self.arcs)
 
 
+def _threshold_intervals(w: np.ndarray, s: np.ndarray, period: float) -> list[tuple[float, float]]:
+    """:func:`threshold_arcs` as (center mod period, min(half_width, period / 2)) pairs."""
+    # np.linalg.norm's sum of squares, bit for bit, without its dispatch cost
+    norms = np.sqrt((w * w).sum(axis=1)).tolist()
+    return [(0.0, period / 2) if sj <= -n
+            else (math.atan2(w2, w1) % period, min(math.acos(sj / n), period / 2))
+            for (w1, w2), n, sj in zip(w.tolist(), norms, s.tolist()) if sj <= n]
+
+
 def threshold_arcs(w: np.ndarray, s: np.ndarray, period: float) -> ArcSet:
     """One arc per row j: the angles t with (cos t, sin t) . w_j >= s_j.
 
@@ -92,16 +102,9 @@ def threshold_arcs(w: np.ndarray, s: np.ndarray, period: float) -> ArcSet:
     if s_j > |w_j|, so w_j = 0 never divides.  On the period-pi circle t
     and t + pi are one direction.  Angles come from ``math``: numpy's
     arctan2 and arccos can differ in the last bit and move printed gaps.
+    The arcs wrap ``_threshold_intervals``' pairs; shadow decisions use the pairs.
     """
-    # np.linalg.norm's sum of squares, bit for bit, without its dispatch cost
-    norms = np.sqrt((w * w).sum(axis=1)).tolist()
-    arcs = []
-    for (w1, w2), n, sj in zip(w.tolist(), norms, s.tolist()):
-        if sj <= -n:
-            arcs.append(Arc(0.0, period / 2, period))
-        elif sj <= n:
-            arcs.append(Arc(math.atan2(w2, w1), math.acos(sj / n), period))
-    return ArcSet(period, arcs)
+    return ArcSet(period, [Arc(c, h, period) for c, h in _threshold_intervals(w, s, period)])
 
 
 @dataclass(frozen=True)
@@ -118,18 +121,17 @@ class CircleCoverage:
     largest_gap: float
 
 
-def _gaps(arcset: ArcSet, tol: float) -> list[tuple[float, float]]:
+def _gaps(arcs: list[tuple[float, float]], period: float, tol: float) -> list[tuple[float, float]]:
     """Complement of the arc union as (start, end) pairs, each longer than tol.
 
     Ends may exceed the period for the single gap that wraps through 0.
     """
-    period = arcset.period
     intervals: list[tuple[float, float]] = []
-    for a in arcset.arcs:
-        if a.half_width >= period / 2:
+    for center, half_width in arcs:
+        if half_width >= period / 2:
             return []
-        lo = (a.center - a.half_width) % period
-        hi = lo + 2.0 * a.half_width
+        lo = (center - half_width) % period
+        hi = lo + 2.0 * half_width
         if hi <= period:
             intervals.append((lo, hi))
         else:
@@ -155,6 +157,18 @@ def _gaps(arcset: ArcSet, tol: float) -> list[tuple[float, float]]:
     return gaps
 
 
+def _cover_pairs(arcs: list[tuple[float, float]], period: float, tol: float) -> CircleCoverage:
+    """:func:`cover_circle` on (center, half_width) pairs."""
+    if not arcs:
+        return CircleCoverage(covered=False, witness=0.0, largest_gap=period)
+    gaps = _gaps(arcs, period, tol)
+    if not gaps:
+        return CircleCoverage(covered=True, witness=None, largest_gap=0.0)
+    start, end = max(gaps, key=lambda g: g[1] - g[0])
+    witness = ((start + end) / 2.0) % period
+    return CircleCoverage(covered=False, witness=witness, largest_gap=end - start)
+
+
 def cover_circle(arcs: ArcSet, tol: float = TOL) -> CircleCoverage:
     """Decide whether the arcs cover the whole circle.
 
@@ -163,19 +177,12 @@ def cover_circle(arcs: ArcSet, tol: float = TOL) -> CircleCoverage:
     is the midpoint of the largest surviving gap and sits clear of every
     arc by at least half that gap.
     """
-    if not arcs.arcs:
-        return CircleCoverage(covered=False, witness=0.0, largest_gap=arcs.period)
-    gaps = _gaps(arcs, tol)
-    if not gaps:
-        return CircleCoverage(covered=True, witness=None, largest_gap=0.0)
-    start, end = max(gaps, key=lambda g: g[1] - g[0])
-    witness = ((start + end) / 2.0) % arcs.period
-    return CircleCoverage(covered=False, witness=witness, largest_gap=end - start)
+    return _cover_pairs([(a.center, a.half_width) for a in arcs.arcs], arcs.period, tol)
 
 
 def uncovered_arcs(arcs: ArcSet, tol: float = TOL) -> list[Arc]:
     """The complement of the union, reported as arcs of the same period."""
     return [
         Arc(((s + e) / 2.0) % arcs.period, (e - s) / 2.0, arcs.period)
-        for s, e in _gaps(arcs, tol)
+        for s, e in _gaps([(a.center, a.half_width) for a in arcs.arcs], arcs.period, tol)
     ]

@@ -65,7 +65,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     if dim is not None and v.size != dim:
         raise ValueError(f"expected {dim} coordinates, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("coordinates must be finite")
     return v
 
@@ -134,7 +134,11 @@ def flat_clearances(centers: np.ndarray, radii, x: np.ndarray,
     ball's projection and length are one matrix-vector and one
     vector-vector product, so every entry rounds as that ball alone would.
     """
-    v = centers - x[..., None, :]
+    return _offset_clearances(centers - x[..., None, :], radii, basis)
+
+
+def _offset_clearances(v: np.ndarray, radii, basis: np.ndarray | None = None) -> np.ndarray:
+    """:func:`flat_clearances` from the offsets v_i = c_i - x."""
     if basis is not None:
         v = v - (basis.T @ (basis @ v[..., None]))[..., 0]
     return np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0]) - radii

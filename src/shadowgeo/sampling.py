@@ -28,14 +28,22 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return _fibonacci_cached(int(n))
 
 
-def sample_sphere(n: int, seed: int, dim: int = 3) -> np.ndarray:
-    """n uniform points on the unit sphere in R^dim, seeded."""
+def _sphere_blocks(n: int, seed: int, dim: int, block: int):
+    """:func:`sample_sphere`'s points ``block`` rows at a time; n = 0 gives one empty block.
+
+    The points do not depend on the block size, but for the redraw of a row
+    of norm below 1e-12 (probability about 1e-36) at the end of its block.
+    """
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n, dim))
-    norms = np.linalg.norm(v, axis=1)
-    bad = norms < 1e-12
-    while bad.any():
-        v[bad] = rng.standard_normal((int(bad.sum()), dim))
+    for lo in range(0, max(n, 1), block):
+        v = rng.standard_normal((min(block, n - lo), dim))
         norms = np.linalg.norm(v, axis=1)
-        bad = norms < 1e-12
-    return v / norms[:, None]
+        while (bad := norms < 1e-12).any():
+            v[bad] = rng.standard_normal((int(bad.sum()), dim))
+            norms = np.linalg.norm(v, axis=1)
+        yield v / norms[:, None]
+
+
+def sample_sphere(n: int, seed: int, dim: int = 3) -> np.ndarray:
+    """n uniform points on the unit sphere in R^dim, seeded: ``_sphere_blocks`` as one block."""
+    return next(_sphere_blocks(n, seed, dim, max(n, 1)))

@@ -43,13 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circlecover import PERIOD_LINE, cover_circle, threshold_arcs
+from .circlecover import PERIOD_LINE, _cover_pairs, _threshold_intervals
 from .geometry import (
     TOL,
     BadDimension,
     DimensionUnsupported,
     PointInsideBall,
     Scene,
+    _offset_clearances,
     as_vector,
     flat_clearances,
     unit,
@@ -122,7 +123,8 @@ class PlaneFrame:
 
 def witness_clearance(scene: Scene, x, d, skip: tuple[int, ...] = ()) -> float:
     """Smallest line-ball clearance over the scene, ignoring ``skip`` indices."""
-    return float(np.min(np.delete(scene.clearances(x, d), list(skip)), initial=math.inf))
+    c = scene.clearances(x, d)
+    return float(np.min(np.delete(c, list(skip)) if skip else c, initial=math.inf))
 
 
 def _ball_vectors(scene: Scene, x: np.ndarray, tol: float):
@@ -131,12 +133,12 @@ def _ball_vectors(scene: Scene, x: np.ndarray, tol: float):
     x is an already validated vector.  Raises PointInsideBall when x is
     inside some ball by more than tol.
     """
-    clear = flat_clearances(scene.centers, scene.radii, x)
+    v = scene.centers - x
+    clear = _offset_clearances(v, scene.radii)
     inside = clear < -tol
     if inside.any():
         raise PointInsideBall(int(np.argmax(inside)))
-    v = scene.centers - x
-    return v, np.linalg.norm(v, axis=1), clear
+    return v, np.sqrt((v * v).sum(axis=1)), clear  # np.linalg.norm's sum, bit for bit
 
 
 def _polar_hull(q: np.ndarray, tol: float) -> tuple[np.ndarray, float] | None:
@@ -193,12 +195,12 @@ def _decide(scene: Scene, x: np.ndarray, axes: np.ndarray, tol: float,
     v, dist, clear = _ball_vectors(scene, x, tol)
     touch = np.abs(clear) <= tol
     touching = np.flatnonzero(touch).tolist() if touch.any() else []
-    closed = touch & scene.closed
-    if closed.any():
-        return ShadowVerdict(SHADOWED, trivial=True, boundary_index=int(np.argmax(closed)),
-                             method="boundary-closed")
     boundary = touching[0] if touching else None
     if touching:
+        closed = touch & scene.closed
+        if closed.any():
+            return ShadowVerdict(SHADOWED, trivial=True, boundary_index=int(np.argmax(closed)),
+                                 method="boundary-closed")
         axes = np.vstack([axes, v[touch] / dist[touch, None]])
         if circle_method == "arc-union":
             circle_method = "boundary-circle"
@@ -207,20 +209,22 @@ def _decide(scene: Scene, x: np.ndarray, axes: np.ndarray, tol: float,
     # one free direction and no touching ball: the tangent question in R^2
     method = {0: "boundary-pinched", 1: "boundary-candidate" if touching else circle_method,
               2: circle_method}.get(m, "polar-hull")
-    free = ~touch
+    free = ~touch if touching else slice(None)  # a view, not a masked copy
     # the power |c_i - x|^2 - r_i^2 of x with respect to each free ball
     pw = (dist[free] - scene.radii[free]) * (dist[free] + scene.radii[free])
-    q = (v[free] / np.sqrt(pw)[:, None]) @ basis.T
+    q = v[free] / np.sqrt(pw)[:, None]
+    if len(axes):  # else the basis is the identity and q the polar points themselves
+        q = q @ basis.T
     gap = search_margin = None
     if m == 0:
         return ShadowVerdict(SHADOWED, boundary_index=boundary, method=method)
     if m == 1:
-        c = flat_clearances(scene.centers, scene.radii, x, basis)[free]
+        c = _offset_clearances(v, scene.radii, basis)[free]
         if np.any((c < -tol) | ((c <= tol) & scene.closed[free])):
             return ShadowVerdict(SHADOWED, boundary_index=boundary, method=method)
         u = np.ones(1)
     elif m == 2:
-        cov = cover_circle(threshold_arcs(q, np.ones(len(q)), PERIOD_LINE), tol)
+        cov = _cover_pairs(_threshold_intervals(q, np.ones(len(q)), PERIOD_LINE), PERIOD_LINE, tol)
         if cov.covered:
             return ShadowVerdict(SHADOWED, gap=0.0, boundary_index=boundary, method=method)
         u, gap = np.array([math.cos(cov.witness), math.sin(cov.witness)]), cov.largest_gap

@@ -22,7 +22,7 @@ import numpy as np
 
 from .circlecover import PERIOD_CIRCLE, Arc, ArcSet, threshold_arcs, uncovered_arcs
 from .geometry import TOL, Cap, orthonormal_basis
-from .sampling import sample_sphere
+from .sampling import _sphere_blocks
 
 COVERED = "covered"
 UNCOVERED = "uncovered"
@@ -97,9 +97,10 @@ class SphereCoverage:
         return {COVERED: True, UNCOVERED: False}.get(self.verdict)
 
 
-def _grid_margins(points: np.ndarray, caps: CapSet) -> np.ndarray:
-    """mu(d) = min over caps of cos(beta) - d . axis, for each row d of ``points``."""
-    return (caps._cosb[None, :] - points @ caps._axes.T).min(axis=1)
+def _grid_margins(points: np.ndarray, caps: CapSet, out: np.ndarray | None = None) -> np.ndarray:
+    """mu(d) = min_i cos(b_i) - d . a_i per row d of ``points``, its table in ``out`` if given."""
+    table = np.matmul(points, caps._axes.T, out=out)
+    return np.subtract(caps._cosb, table, out=table).min(axis=1)
 
 
 def _candidate_block(cands: np.ndarray, caps: CapSet) -> tuple[np.ndarray | None, float]:
@@ -237,12 +238,13 @@ def cover_sphere(caps: CapSet, tol: float = TOL) -> SphereCoverage:
 
 
 def uncovered_area_estimate(caps: CapSet, samples: int, seed: int) -> float:
-    """Monte Carlo estimate of the area where mu(d) > 0 (4*pi when no caps)."""
+    """Monte Carlo estimate of the area where mu(d) > 0 (4*pi when no caps), streamed in blocks."""
     if samples < 1:
         raise ValueError("need at least one sample")
     if not caps.caps:
         return 4.0 * math.pi
-    pts = sample_sphere(samples, seed)
-    outside = sum(int(np.count_nonzero(_grid_margins(pts[lo:lo + _SAMPLE_BLOCK], caps) > 0.0))
-                  for lo in range(0, samples, _SAMPLE_BLOCK))
+    # one table for all blocks: a fresh one per block is given back to the OS and faulted in again
+    table = np.empty((_SAMPLE_BLOCK, len(caps._cosb)))
+    outside = sum(int(np.count_nonzero(_grid_margins(pts, caps, table[:len(pts)]) > 0.0))
+                  for pts in _sphere_blocks(samples, seed, 3, _SAMPLE_BLOCK))
     return 4.0 * math.pi * (outside / samples)

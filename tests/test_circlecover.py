@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from shadowgeo.circlecover import (
     PERIOD_CIRCLE,
     PERIOD_LINE,
     Arc,
     ArcSet,
+    _cover_pairs,
+    _threshold_intervals,
     cover_circle,
     threshold_arcs,
     uncovered_arcs,
@@ -232,3 +234,36 @@ def test_threshold_arcs_match_the_raw_predicate(period, rows):
                 fuzz = 1e-9 * (1.0 + abs(w1) + abs(w2) + abs(sj))
                 assert min(abs(v) for v in values) <= fuzz \
                     or (arcs and abs(arcs[0].signed_distance(t)) <= 1e-7)
+
+
+@st.composite
+def cover_rows(draw):
+    """(k, 2) rows w and thresholds s: |w| below, at and above s, very long, duplicated, antipodal."""
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        w1, w2 = draw(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
+        scale = draw(st.sampled_from([1.0, 1.0, 1e-12, 1e12]))
+        w1, w2 = w1 * scale, w2 * scale
+        # the norm exactly as the arc rule computes it, so a ratio of +-1 is an exact tie
+        n = float(np.sqrt(np.array([w1 * w1 + w2 * w2]))[0])
+        ratio = draw(st.one_of(st.sampled_from([-1.5, -1.0, 1.0, 1.5]), st.floats(-1.0, 1.0)))
+        rows.append((w1, w2, ratio * n if n > 0.0 else draw(st.sampled_from([-1.0, 0.0, 1.0]))))
+    if rows:
+        for j in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+            rows.append(rows[j])
+        for j in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+            w1, w2, sj = rows[j]
+            rows.append((-w1, -w2, sj))
+    return np.array(rows, dtype=float).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("period", [PERIOD_LINE, PERIOD_CIRCLE])
+@settings(max_examples=400)
+@given(rows=cover_rows())
+def test_pair_cover_equals_the_arc_set_cover_bit_for_bit(period, rows):
+    w, s = rows[:, :2], rows[:, 2]
+    want = cover_circle(threshold_arcs(w, s, period))
+    got = _cover_pairs(_threshold_intervals(w, s, period), period, 1e-9)
+    assert got.covered == want.covered
+    assert repr(got.witness) == repr(want.witness)
+    assert got.largest_gap.hex() == want.largest_gap.hex()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from shadowgeo.sampling import fibonacci_sphere, sample_sphere
+from shadowgeo.sampling import _sphere_blocks, fibonacci_sphere, sample_sphere
+from shadowgeo.spherecover import _SAMPLE_BLOCK
 
 
 def test_fibonacci_points_are_unit_and_cached():
@@ -30,3 +31,15 @@ def test_sample_sphere_determinism_and_norms():
     np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
     c = sample_sphere(100, seed=4, dim=5)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [0, 1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, 2 * _SAMPLE_BLOCK + 7])
+def test_sample_sphere_is_its_blocks_joined_and_one_normal_draw(n, dim):
+    whole = sample_sphere(n, 11, dim)
+    blocks = list(_sphere_blocks(n, 11, dim, _SAMPLE_BLOCK))
+    assert all(len(b) == _SAMPLE_BLOCK for b in blocks[:-1])
+    np.testing.assert_array_equal(np.concatenate(blocks), whole)
+    # the points of one draw of n normal rows, each divided by its norm
+    v = np.random.default_rng(11).standard_normal((n, dim))
+    np.testing.assert_array_equal(whole, v / np.linalg.norm(v, axis=1)[:, None])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,18 @@ def test_area_estimate_counts_by_blocks_as_the_full_table_does():
     outside = np.count_nonzero(_grid_margins(sample_sphere(n, 3), caps) > 0.0)
     assert outside > 0
     assert uncovered_area_estimate(caps, n, seed=3) == 4.0 * math.pi * (outside / n)
+
+
+def test_area_estimate_memory_does_not_grow_with_the_samples():
+    caps = CapSet([Cap(a, 0.9) for a in OCTA_AXES])
+    tracemalloc.start()
+    try:
+        uncovered_area_estimate(caps, 1_000_000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the million points alone take 24 MB
+    assert peak < 16 * 2**20
 
 
 @st.composite
