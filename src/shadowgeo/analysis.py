@@ -106,11 +106,11 @@ def _witness_entry(verdict) -> dict:
     }
 
 
-def _run_trials(report: PropertyReport, seed: int, tol: float, draw) -> int:
+def _run_trials(report: PropertyReport, seed: int, draw) -> int:
     """Run ``report.trials`` seeded trials of "no point is shadowed" into ``report``.
 
     ``draw(s)`` gives the scene and the points of the trial with seed s.
-    A point passes with a not_shadowed verdict whose margin exceeds tol;
+    A point passes with a not_shadowed verdict whose margin exceeds TOL;
     the first point that neither passes nor is indeterminate fails the
     trial, and its replay record is kept.  A trial with no failure but
     some indeterminate point counts as indeterminate.  Returns the
@@ -123,9 +123,9 @@ def _run_trials(report: PropertyReport, seed: int, tol: float, draw) -> int:
         saw_indeterminate = False
         for p in points:
             tested += 1
-            verdict = point_shadow(scene, p, tol)
+            verdict = point_shadow(scene, p)
             if verdict.verdict == NOT_SHADOWED and verdict.margin is not None \
-                    and verdict.margin > tol:
+                    and verdict.margin > TOL:
                 continue
             if verdict.verdict == INDETERMINATE:
                 saw_indeterminate = True
@@ -148,7 +148,7 @@ def _run_trials(report: PropertyReport, seed: int, tol: float, draw) -> int:
     return tested
 
 
-def check_theorem3(trials: int, seed: int = 0, tol: float = TOL) -> PropertyReport:
+def check_theorem3(trials: int, seed: int = 0) -> PropertyReport:
     """Boundary points of three equal disjoint open balls are never shadowed.
 
     Each trial draws a random scene of three equal open balls in R^3 and
@@ -165,11 +165,11 @@ def check_theorem3(trials: int, seed: int = 0, tol: float = TOL) -> PropertyRepo
         return scene, (p for i in range(3) for p in
                        boundary_sample(scene, i, _BOUNDARY_POINTS_PER_BALL, seed=s + i + 1))
 
-    report.details["boundary_points_tested"] = _run_trials(report, seed, tol, draw)
+    report.details["boundary_points_tested"] = _run_trials(report, seed, draw)
     return report
 
 
-def check_theorem4(trials: int, seed: int = 0, tol: float = TOL) -> PropertyReport:
+def check_theorem4(trials: int, seed: int = 0) -> PropertyReport:
     """Three equal disjoint balls in R^3 never shadow an exterior point."""
     report = PropertyReport(name="three-equal-balls-exterior", trials=trials, passes=0)
 
@@ -177,12 +177,11 @@ def check_theorem4(trials: int, seed: int = 0, tol: float = TOL) -> PropertyRepo
         scene = random_equal_balls(3, 3, 1.0, s)
         return scene, [random_exterior_point(scene, seed=s + 1)]
 
-    _run_trials(report, seed, tol, draw)
+    _run_trials(report, seed, draw)
     return report
 
 
-def check_lower_bound(k: int, dim: int, trials: int, seed: int = 0,
-                      tol: float = TOL) -> PropertyReport:
+def check_lower_bound(k: int, dim: int, trials: int, seed: int = 0) -> PropertyReport:
     """Fewer balls than the dimension never shadow any exterior point.
 
     Radii are arbitrary here; only the count matters.  The exact decision
@@ -197,7 +196,7 @@ def check_lower_bound(k: int, dim: int, trials: int, seed: int = 0,
         scene = random_disjoint_balls(dim, k, s)
         return scene, [random_exterior_point(scene, seed=s + 1)]
 
-    _run_trials(report, seed, tol, draw)
+    _run_trials(report, seed, draw)
     return report
 
 
@@ -216,8 +215,7 @@ def _point_triangle_distances(points: np.ndarray, tri: np.ndarray) -> np.ndarray
     return np.where(inside, 0.0, d_min)
 
 
-def verify_lemma(side: float = 1.0, grid_step: float = 0.01, eps: float = 1e-6,
-                 tol: float = TOL) -> PropertyReport:
+def verify_lemma(side: float = 1.0, grid_step: float = 0.01, eps: float = 1e-6) -> PropertyReport:
     """Grid check: the hull of the three discs is shadowed outside the discs.
 
     Every grid point inside the convex hull of the discs and at least eps
@@ -238,8 +236,8 @@ def verify_lemma(side: float = 1.0, grid_step: float = 0.01, eps: float = 1e-6,
     phis = np.arange(360) * (2.0 * math.pi / 360.0)
     ring = center[None, :] + cfg.circumradius * np.column_stack([np.cos(phis), np.sin(phis)])
     ring_dist = _point_triangle_distances(ring, tri)
-    circum_bad = int(np.count_nonzero(ring_dist > rho + tol))
-    for idx in np.flatnonzero(ring_dist > rho + tol):
+    circum_bad = int(np.count_nonzero(ring_dist > rho + TOL))
+    for idx in np.flatnonzero(ring_dist > rho + TOL):
         failures.append({
             "kind": "circumcircle",
             "point": [float(c) for c in ring[idx]],
@@ -259,7 +257,7 @@ def verify_lemma(side: float = 1.0, grid_step: float = 0.01, eps: float = 1e-6,
     test_pts = pts[in_hull & outside_discs]
     shadow_bad = 0
     for p in test_pts:
-        verdict = point_shadow(cfg.scene, p, tol)
+        verdict = point_shadow(cfg.scene, p)
         if verdict.verdict != SHADOWED:
             shadow_bad += 1
             failures.append({
@@ -341,8 +339,7 @@ class Example2Report:
 
 
 def analyze_example2(tangent_grid: int = 20000, area_samples: int = 1_000_000,
-                     seed: int = 0, tol: float = TOL,
-                     falsifier_grid: int = 20000) -> Example2Report:
+                     seed: int = 0, falsifier_grid: int = 20000) -> Example2Report:
     """Work through the 14-ball configuration end to end.
 
     ``falsifier_grid`` is ignored and kept for compatibility: the sphere
@@ -352,19 +349,15 @@ def analyze_example2(tangent_grid: int = 20000, area_samples: int = 1_000_000,
         raise ValueError("tangent_grid must be at least 100")
     cfg = build_cube14()
     scene = cfg.scene
-    gaps = scene.pair_gaps()[np.triu_indices(len(scene), 1)]
-    tangent = int(np.count_nonzero(np.abs(gaps) <= 1e-12))
-    overlapping = int(np.count_nonzero(gaps < -1e-12))
     tangency = {
-        "pairs": {"tangent": tangent, "disjoint": len(gaps) - tangent - overlapping,
-                  "overlapping": overlapping},
+        "pairs": cfg.pairs,
         "vertex_vertex_tangent": cfg.tangent_vertex_pairs,
         "vertex_face_tangent": cfg.tangent_face_pairs,
         "vertex_radius": cfg.vertex_radius,
         "face_radius": cfg.face_radius,
     }
     caps = CapSet([ball_sphere_cap(b) for b in scene.balls])
-    coverage = cover_sphere(caps, tol)
+    coverage = cover_sphere(caps)
     area = uncovered_area_estimate(caps, area_samples, seed)
     sample_count = int(round(area * area_samples / (4.0 * math.pi)))
 
@@ -373,7 +366,7 @@ def analyze_example2(tangent_grid: int = 20000, area_samples: int = 1_000_000,
     entries = []
     failures = []
     for p in outside:
-        verdict = tangent_shadow(scene, p, tol)
+        verdict = tangent_shadow(scene, p)
         entry = {
             "point": [float(c) for c in p],
             "verdict": verdict.verdict,

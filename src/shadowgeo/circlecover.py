@@ -45,27 +45,12 @@ class Arc:
             raise ValueError("arc parameters must be finite")
         if self.half_width < 0:
             raise ValueError("arc half_width must be >= 0")
+        # a tiny negative centre rounds up to the period itself, which is 0 again
+        center = self.center % period
+        object.__setattr__(self, "center", 0.0 if center == period else center)
         # a half-width of period/2 or more is the whole circle
-        object.__setattr__(self, "center", self.center % period)
         object.__setattr__(self, "half_width", min(self.half_width, period / 2))
         object.__setattr__(self, "period", period)
-
-    @property
-    def is_full(self) -> bool:
-        return self.half_width >= self.period / 2
-
-    @property
-    def length(self) -> float:
-        return 2.0 * self.half_width
-
-    def signed_distance(self, theta: float) -> float:
-        """Circular distance from theta to this arc; negative inside."""
-        half = self.period / 2
-        delta = abs((theta - self.center + half) % self.period - half)
-        return delta - self.half_width
-
-    def contains(self, theta: float, tol: float = 0.0) -> bool:
-        return self.signed_distance(theta) <= tol
 
 
 @dataclass
@@ -80,9 +65,6 @@ class ArcSet:
         for a in self.arcs:
             if a.period != self.period:
                 raise ValueError("mixed arc periods in one ArcSet")
-
-    def __len__(self) -> int:
-        return len(self.arcs)
 
 
 def _threshold_intervals(w: np.ndarray, s: np.ndarray, period: float) -> list[tuple[float, float]]:

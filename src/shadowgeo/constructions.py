@@ -75,6 +75,8 @@ class Cube14Config:
     adjacent ones are exactly tangent; each face ball's radius
     sqrt(2 - 2/sqrt(3)) - 1/sqrt(3) makes it tangent to the four vertex
     balls of its face.  That yields 12 + 24 tangent pairs and no overlaps.
+    ``pairs`` is the self-check's census of all 91 pairs: tangent, disjoint
+    and overlapping at 1e-12.
     """
 
     scene: Scene
@@ -82,6 +84,7 @@ class Cube14Config:
     face_radius: float
     tangent_vertex_pairs: int
     tangent_face_pairs: int
+    pairs: dict
 
 
 def build_cube14(topology: str = OPEN) -> Cube14Config:
@@ -104,12 +107,15 @@ def build_cube14(topology: str = OPEN) -> Cube14Config:
     # number of vertex balls (0, 1 or 2) in each tangent pair
     ff, vf, vv = np.bincount(((i < 8).astype(int) + (j < 8))[np.abs(gaps) <= _CONSTRUCTION_TOL],
                              minlength=3).tolist()
-    counts = {"vv_tangent": vv, "vf_tangent": vf, "ff_tangent": ff,
-              "overlapping": int(np.count_nonzero(gaps < -_CONSTRUCTION_TOL))}
+    overlapping = int(np.count_nonzero(gaps < -_CONSTRUCTION_TOL))
+    counts = {"vv_tangent": vv, "vf_tangent": vf, "ff_tangent": ff, "overlapping": overlapping}
     if counts != {"vv_tangent": 12, "vf_tangent": 24, "ff_tangent": 0, "overlapping": 0}:
         raise InvariantViolation(f"unexpected tangency structure: {counts}")
+    tangent = vv + vf + ff
+    pairs = {"tangent": tangent, "disjoint": len(gaps) - tangent - overlapping,
+             "overlapping": overlapping}
     return Cube14Config(scene=scene, vertex_radius=r, face_radius=r1,
-                        tangent_vertex_pairs=12, tangent_face_pairs=24)
+                        tangent_vertex_pairs=12, tangent_face_pairs=24, pairs=pairs)
 
 
 def _place_disjoint(k: int, dim: int, draw, failure: str) -> tuple[np.ndarray, list[float]]:

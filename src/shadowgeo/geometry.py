@@ -115,14 +115,6 @@ class Ball:
     def dim(self) -> int:
         return self.center.size
 
-    def clearance(self, p) -> float:
-        """Distance from p to the boundary sphere; negative inside."""
-        return float(flat_clearances(self.center[None, :], self.radius, as_vector(p, self.dim))[0])
-
-    def contains(self, p, tol: float = 0.0) -> bool:
-        c = self.clearance(p)
-        return c < -tol if self.topology == OPEN else c <= tol
-
 
 def flat_clearances(centers: np.ndarray, radii, x: np.ndarray,
                     basis: np.ndarray | None = None) -> np.ndarray:
@@ -226,9 +218,8 @@ class Cap:
     """Spherical cap {p in S^2 : p . axis >= cos(angular_radius)}.
 
     angular_radius 0 means empty, pi means the whole sphere.  ``topology``
-    is validated and carried but read nowhere: ``contains``, ``CapSet``,
-    ``falsify`` and the boundary arrangement all treat every cap as closed
-    (ROADMAP item 4).
+    is validated and carried but read nowhere: ``CapSet``, ``falsify`` and
+    the boundary arrangement all treat every cap as closed (ROADMAP item 4).
     """
 
     axis: np.ndarray
@@ -255,11 +246,6 @@ class Cap:
     def is_full(self) -> bool:
         return self.angular_radius >= math.pi
 
-    def contains(self, p, tol: float = 0.0) -> bool:
-        p = as_vector(p, 3)
-        # sin(pi/2 - b) is cos(b), but exactly 0 for a hemisphere, where cos(pi/2) is 6e-17
-        return float(p @ self.axis) >= math.sin(math.pi / 2 - self.angular_radius) - tol
-
 
 def ball_band(x, ball: Ball, tol: float = TOL) -> Band:
     """Band of directions through x whose line meets the ball.
@@ -284,8 +270,8 @@ def ball_sphere_cap(ball: Ball) -> Cap:
     cos(beta) = (|c|^2 + 1 - r^2) / (2 |c|); values above 1 give the empty
     cap, below -1 the full sphere.  A centre that rounds to the origin
     (1 + |c| == 1) counts as the origin, where the ball meets the sphere
-    iff its radius reaches 1: ``Ball.clearance`` cannot tell its sphere
-    from the unit sphere, and below about 1e-154 c / |c| underflows.
+    iff its radius reaches 1: :func:`flat_clearances` cannot tell its
+    sphere from the unit sphere, and below about 1e-154 c / |c| underflows.
     """
     if ball.dim != 3:
         raise DimensionUnsupported("caps are defined on the unit sphere in R^3")

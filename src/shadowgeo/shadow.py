@@ -52,7 +52,6 @@ from .geometry import (
     Scene,
     _offset_clearances,
     as_vector,
-    flat_clearances,
     unit,
 )
 
@@ -114,11 +113,6 @@ class PlaneFrame:
     @property
     def m(self) -> int:
         return self.basis.shape[0]
-
-    def distance(self, p) -> float:
-        """Distance from p to the affine plane."""
-        p = as_vector(p, self.point.size)
-        return float(flat_clearances(p[None, :], 0.0, self.point, self.basis)[0])
 
 
 def witness_clearance(scene: Scene, x, d, skip: tuple[int, ...] = ()) -> float:

@@ -60,13 +60,12 @@ class CapSet:
                          axes @ axes.T)
         # contains[j, i]: cap j contains cap i; beats[j, i]: and cap j is kept over it
         contains = (ang + beta <= beta[:, None] + _CONTAIN_TOL) | (beta >= math.pi)[:, None]
-        earlier = np.triu(np.ones_like(contains), 1)
-        beats = contains & (~contains.T | earlier)
+        beats = contains & (~contains.T | np.triu(np.ones_like(contains), 1))
         # caps settle in index order, each dropped by a later cap that beats it or an earlier
-        # kept one: two rounds reach the fixed point unless dropped caps beat later ones
-        drop, again = None, np.zeros(len(live), dtype=bool)
-        while not np.array_equal(drop, again):
-            drop, again = again, (beats & ~(again[:, None] & earlier)).any(axis=0)
+        # kept one; later caps are still unsettled (not dropped) when cap i is decided
+        drop = np.zeros(len(live), dtype=bool)
+        for i in range(len(live)):
+            drop[i] = (beats[:, i] & ~drop).any()
         self.caps = [c for c, d in zip(live, drop.tolist()) if not d]
         self._axes = axes[~drop]
         self._cosb = np.array([math.cos(b) for b in beta[~drop].tolist()])
@@ -91,10 +90,6 @@ class SphereCoverage:
     margin: float
     boundary_report: list[list[Arc]] | None = None
     stage: str = ""
-
-    @property
-    def covered(self) -> bool | None:
-        return {COVERED: True, UNCOVERED: False}.get(self.verdict)
 
 
 def _grid_margins(points: np.ndarray, caps: CapSet, out: np.ndarray | None = None) -> np.ndarray:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shadowgeo.circlecover import (
     PERIOD_CIRCLE,
@@ -21,14 +21,27 @@ from oracles import circle_point_margins
 
 def uncovered_length(arcs):
     """Total angular length the union leaves uncovered: the summed uncovered arcs."""
-    return sum(h.length for h in uncovered_arcs(arcs))
+    return sum(2.0 * h.half_width for h in uncovered_arcs(arcs))
 
 
 def test_arc_normalizes_center_and_caps_half_width():
     a = Arc(center=math.pi + 0.5, half_width=10.0, period=PERIOD_LINE)
     assert a.center == pytest.approx(0.5)
     assert a.half_width == PERIOD_LINE / 2
-    assert a.is_full
+    for period in (PERIOD_LINE, PERIOD_CIRCLE):
+        # -1e-20 % period rounds up to the period itself
+        for tiny in (-1e-20, -1e-300, -5e-324):
+            assert Arc(tiny, 0.1, period).center == 0.0
+        for k in (1, 2, 3, 5, 1024):
+            assert Arc(-k * period, 0.1, period).center == 0.0
+        assert Arc(-0.5 * period, 0.1, period).center == 0.5 * period
+
+
+@given(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([PERIOD_LINE, PERIOD_CIRCLE]))
+@example(-1e-20, PERIOD_LINE)
+@example(-5e-324, PERIOD_CIRCLE)
+def test_arc_center_lies_in_one_period(center, period):
+    assert 0.0 <= Arc(center, 0.1, period).center < period
 
 
 def test_arc_rejects_bad_parameters():
@@ -43,16 +56,6 @@ def test_arc_rejects_bad_parameters():
 def test_arcset_rejects_mixed_periods():
     with pytest.raises(ValueError):
         ArcSet(PERIOD_LINE, [Arc(0.0, 0.1, PERIOD_LINE), Arc(0.0, 0.1, PERIOD_CIRCLE)])
-
-
-def test_signed_distance_and_contains():
-    a = Arc(0.0, 0.5, PERIOD_CIRCLE)
-    assert a.signed_distance(0.0) == pytest.approx(-0.5)
-    assert a.signed_distance(0.5) == pytest.approx(0.0)
-    assert a.signed_distance(math.pi) == pytest.approx(math.pi - 0.5)
-    # wraps: 2*pi - 0.25 is inside
-    assert a.contains(2 * math.pi - 0.25)
-    assert not a.contains(1.0)
 
 
 def test_empty_set_is_uncovered_with_full_gap():
@@ -225,15 +228,16 @@ def test_threshold_arcs_match_the_raw_predicate(period, rows):
         assert len(arcs) <= 1
         if sj > math.hypot(w1, w2):
             assert not arcs
-        for t in ts.tolist():
+        # the oracle's circular distance from each t to the arc, negative inside
+        margins = circle_point_margins(ts, [(a.center, a.half_width) for a in arcs], period)
+        for t, margin in zip(ts.tolist(), margins.tolist()):
             values = [math.cos(t + lift) * w1 + math.sin(t + lift) * w2 - sj for lift in lifts]
             want = max(values) >= 0.0
-            got = bool(arcs) and arcs[0].contains(t)
+            got = margin <= 0.0
             if want != got:
                 # only within float fuzz of a crossing
                 fuzz = 1e-9 * (1.0 + abs(w1) + abs(w2) + abs(sj))
-                assert min(abs(v) for v in values) <= fuzz \
-                    or (arcs and abs(arcs[0].signed_distance(t)) <= 1e-7)
+                assert min(abs(v) for v in values) <= fuzz or abs(margin) <= 1e-7
 
 
 @st.composite

@@ -16,13 +16,14 @@ from shadowgeo.geometry import (
     as_vector,
     ball_band,
     ball_sphere_cap,
+    flat_clearances,
     line_ball_clearance,
     orthonormal_basis,
     tangent_arcs,
     unit,
 )
 
-from oracles import flat_ball_clearances, line_ball_min_distance, line_hits
+from oracles import flat_ball_clearances, line_ball_min_distance, line_hits, sphere_point_margins
 
 finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
@@ -53,14 +54,12 @@ def test_ball_validation():
 
 
 def test_ball_contains_respects_topology():
-    b_open = Ball([0.0, 0.0], 1.0, OPEN)
-    b_closed = Ball([0.0, 0.0], 1.0, CLOSED)
-    on_sphere = [1.0, 0.0]
-    assert b_closed.contains(on_sphere)
-    assert not b_open.contains(on_sphere)
-    assert b_open.contains([0.5, 0.0])
-    assert not b_closed.contains([1.5, 0.0])
-    assert b_closed.clearance([2.0, 0.0]) == pytest.approx(1.0)
+    sc = Scene(2, [Ball([0.0, 0.0], 1.0, OPEN), Ball([0.0, 0.0], 1.0, CLOSED)])
+    # the topology is carried as the scene's closed mask; clearances ignore it
+    np.testing.assert_array_equal(sc.closed, [False, True])
+    np.testing.assert_array_equal(sc.clearances([1.0, 0.0]), [0.0, 0.0])
+    np.testing.assert_array_equal(sc.clearances([2.0, 0.0]), [1.0, 1.0])
+    np.testing.assert_array_equal(sc.clearances([0.5, 0.0]), [-0.5, -0.5])
 
 
 def test_scene_checks_dimensions_and_overlaps():
@@ -92,10 +91,9 @@ def test_scene_clearances_match_least_squares(dim, m):
             if m:
                 w = w - basis.T @ (basis @ w)
             assert g == np.linalg.norm(w) - b.radius
+            assert flat_clearances(b.center[None, :], b.radius, x, basis)[0] == g
             if m == 1:
                 assert line_ball_clearance(x, basis[0], b) == g
-            if m == 0:
-                assert b.clearance(x) == g
 
 
 def test_pair_gaps_and_violations_with_overlap_and_exact_tangency():
@@ -143,18 +141,11 @@ def test_cap_validation():
     with pytest.raises(ValueError):
         Cap(np.array([1.0, 0.0, 0.0]), 4.0)
     cap = Cap(np.array([0.0, 0.0, 1.0]), math.pi / 3)
-    assert cap.contains([0.0, 0.0, 1.0])
-    assert not cap.contains([0.0, 0.0, -1.0])
+    # the pole lies inside the cap and its antipode outside
+    margins = sphere_point_margins([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+                                   [(cap.axis, cap.angular_radius)])
+    assert margins[0] < 0.0 < margins[1]
     assert not cap.is_empty and not cap.is_full
-
-
-def test_closed_hemisphere_cap_contains_its_equator():
-    # cos(pi/2) is 6.1e-17, which would leave the equator outside at tol = 0
-    cap = Cap(np.array([0.0, 0.0, 1.0]), math.pi / 2)
-    for t in np.linspace(0.0, 2 * math.pi, 13):
-        assert cap.contains([math.cos(t), math.sin(t), 0.0])
-    assert cap.contains([0.0, 0.0, 1.0])
-    assert not cap.contains([0.0, 0.0, -1.0])
 
 
 def test_orthonormal_basis_is_deterministic_and_orthonormal():
@@ -267,7 +258,7 @@ def test_line_clearance_matches_scalar_minimization(xl, dl, cl, r):
 def test_band_contains_directions_that_hit(xl, cl, r, seed):
     x, c = np.array(xl), np.array(cl)
     ball = Ball(c, r)
-    if ball.clearance(x) <= 1e-6:
+    if flat_ball_clearances(x, None, [c], [r])[0] <= 1e-6:
         return
     band = ball_band(x, ball)
     rng = np.random.default_rng(seed)
@@ -287,10 +278,12 @@ def test_sphere_cap_membership_matches_ball(cl, r):
     c = np.array(cl)
     ball = Ball(c, r)
     cap = ball_sphere_cap(ball)
-    for p in (unit([1.0, 0.2, -0.4]), unit([-1.0, 2.0, 0.3]), unit(c + 1e-9)):
-        inside_ball = ball.clearance(p) <= 0.0
-        inside_cap = cap.contains(p, tol=1e-9)
-        if inside_ball:
+    points = [unit([1.0, 0.2, -0.4]), unit([-1.0, 2.0, 0.3]), unit(c + 1e-9)]
+    cap_margins = sphere_point_margins(points, [(cap.axis, cap.angular_radius)])
+    for p, cap_margin in zip(points, cap_margins):
+        clearance = flat_ball_clearances(p, None, [c], [r])[0]
+        inside_cap = cap_margin <= 1e-9
+        if clearance <= 0.0:
             assert inside_cap
         if not inside_cap:
-            assert ball.clearance(p) >= -1e-7
+            assert clearance >= -1e-7

@@ -39,6 +39,7 @@ from shadowgeo.shadow import (
 )
 
 from oracles import (
+    flat_ball_clearances,
     line_ball_min_distance,
     line_hits,
     point_shadow_sampled,
@@ -584,8 +585,7 @@ def test_plane_found_is_verified_and_orthonormal():
     assert frame is not None
     assert frame.m == 2
     np.testing.assert_allclose(frame.basis @ frame.basis.T, np.eye(2), atol=1e-9)
-    for b in sc.balls:
-        assert frame.distance(b.center) > b.radius + 1e-9
+    assert flat_ball_clearances(frame.point, frame.basis, sc.centers, sc.radii).min() > 1e-9
 
 
 def test_plane_in_dim5():
@@ -593,7 +593,7 @@ def test_plane_in_dim5():
     frame = find_avoiding_plane(sc, [0.0] * 5, 3, seed=2)
     assert frame is not None
     assert frame.m == 3
-    assert frame.distance(sc.balls[0].center) > 1.0 + 1e-9
+    assert flat_ball_clearances(frame.point, frame.basis, sc.centers, sc.radii).min() > 1e-9
 
 
 def test_plane_search_with_overflowing_offsets_returns_none():
@@ -612,7 +612,8 @@ def test_plane_frame_validation():
     with pytest.raises(ValueError):
         PlaneFrame([0.0, 0.0, 0.0], np.array([[1.0, 1.0, 0.0]]))
     f = PlaneFrame([0.0, 0.0, 0.0], np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    assert f.distance([5.0, 6.0, 2.0]) == pytest.approx(2.0)
+    distance = flat_ball_clearances(f.point, f.basis, [[5.0, 6.0, 2.0]], [0.0])[0]
+    assert distance == pytest.approx(2.0, abs=1e-12)
 
 
 def test_witness_clearance_skips_requested_indices():
@@ -630,7 +631,7 @@ def test_witness_clearance_skips_requested_indices():
 def exterior_query(draw, dim, k):
     sc = random_equal_balls(dim, k, 1.0, seed=draw(st.integers(0, 10_000)))
     x = np.array([draw(st.floats(-8.0, 8.0, allow_nan=False)) for _ in range(dim)])
-    if min(b.clearance(x) for b in sc.balls) < 1e-6:
+    if sc.clearances(x).min() < 1e-6:
         x = x * 0.0 + 9.5
     return sc, x
 

@@ -3,9 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from shadowgeo.geometry import Cap, unit
+from shadowgeo.circlecover import PERIOD_CIRCLE
+from shadowgeo.geometry import Cap, orthonormal_basis, unit
 from shadowgeo.sampling import sample_sphere
 from shadowgeo.spherecover import (
     _SAMPLE_BLOCK,
@@ -21,7 +22,7 @@ from shadowgeo.spherecover import (
     uncovered_area_estimate,
 )
 
-from oracles import sphere_cover_sampled, sphere_point_margins
+from oracles import circle_point_margins, sphere_cover_sampled, sphere_point_margins
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -178,18 +179,18 @@ def test_boundary_arcs_match_direct_membership():
     # one cap's boundary circle against one other cap, checked pointwise
     cs = CapSet([Cap(Z, 1.2), Cap(unit([1.0, 0.3, 0.4]), 0.9)])
     arcs = cap_boundary_cover_arcs(cs, 0, tol=0.0)
-    other = cs.caps[1]
     b = cs.caps[0].angular_radius
-    from shadowgeo.geometry import orthonormal_basis
-
     e1, e2 = orthonormal_basis(cs.caps[0].axis)
-    for t in np.linspace(0, 2 * math.pi, 720, endpoint=False):
-        p = math.cos(b) * cs.caps[0].axis + math.sin(b) * (math.cos(t) * e1 + math.sin(t) * e2)
-        want = float(p @ other.axis) >= math.cos(other.angular_radius)
-        got = any(a.contains(t) for a in arcs.arcs)
-        if want != got:
-            # disagreement allowed only within float fuzz of the crossing
-            assert min(abs(a.signed_distance(t)) for a in arcs.arcs) < 1e-6
+    ts = np.linspace(0, 2 * math.pi, 720, endpoint=False)
+    points = math.cos(b) * cs.caps[0].axis \
+        + math.sin(b) * (np.cos(ts)[:, None] * e1 + np.sin(ts)[:, None] * e2)
+    want = sphere_point_margins(points, caps_data(cs)[1:]) <= 0.0
+    # the oracle's circular distance from each t to the nearest covering arc
+    arc_margins = circle_point_margins(ts, [(a.center, a.half_width) for a in arcs.arcs],
+                                       PERIOD_CIRCLE)
+    disagree = want != (arc_margins <= 0.0)
+    # disagreement allowed only within float fuzz of the crossing
+    assert (np.abs(arc_margins[disagree]) < 1e-6).all()
 
 
 def test_uncovered_area_estimates():
@@ -252,6 +253,38 @@ def test_verdicts_agree_with_sampling_oracle(cs):
 
 _RANDOM_DIRECTIONS = np.random.default_rng(11).normal(size=(20_000, 3))
 _RANDOM_DIRECTIONS /= np.linalg.norm(_RANDOM_DIRECTIONS, axis=1)[:, None]
+
+
+@st.composite
+def nested_cap_lists(draw, max_caps=8):
+    """Caps on a few shared axes: duplicates, nested, empty and full caps among them."""
+    vectors = draw(st.lists(st.tuples(*[st.floats(-1, 1)] * 3), min_size=1, max_size=3))
+    axes = [unit(v) if np.linalg.norm(v) >= 1e-3 else np.array([1.0, 0.0, 0.0])
+            for v in map(np.array, vectors)]
+    # 1.0 and its two neighbours make a chain of caps that contain each other within 1e-12
+    radius = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 0.9e-12, 1.0 + 1.8e-12, math.pi]),
+                       st.floats(0.0, math.pi))
+    return [Cap(axes[draw(st.integers(0, len(axes) - 1))], draw(radius))
+            for _ in range(draw(st.integers(0, max_caps)))]
+
+
+@given(st.one_of(nested_cap_lists(), cap_sets().map(lambda cs: cs.caps)))
+@example([Cap(Z, 1.0), Cap(Z, 1.0 + 0.9e-12), Cap(Z, 1.0 + 1.8e-12)])
+def test_capset_keeps_no_nested_cap_and_loses_no_covered_direction(caps):
+    cs = CapSet(caps)
+    assert all(any(k is c for c in caps) for k in cs.caps)
+    # axis angles by the half-chord formula, not the library's atan2(|a x b|, a . b)
+    for i, ci in enumerate(cs.caps):
+        for j, cj in enumerate(cs.caps):
+            if i != j:
+                ang = 2.0 * math.atan2(np.linalg.norm(ci.axis - cj.axis),
+                                       np.linalg.norm(ci.axis + cj.axis))
+                assert cj.angular_radius < math.pi and ang + ci.angular_radius > cj.angular_radius
+    # a cap of angular radius 0 is empty by convention, so it covers nothing
+    given_data = [(c.axis, c.angular_radius) for c in caps if not c.is_empty]
+    points = np.vstack([_RANDOM_DIRECTIONS] + [a for a, _ in given_data])
+    covered = sphere_point_margins(points, given_data) <= 0.0
+    assert (sphere_point_margins(points[covered], caps_data(cs)) <= 1e-9).all()
 
 
 @given(cap_sets())
