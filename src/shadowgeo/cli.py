@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 query answered / property holds, 1 property falsified,
-2 indeterminate (including plane searches for m >= 2 that found nothing),
+2 indeterminate (including an m >= 2 plane search whose ascent found nothing),
 3 input error.  Results go to stdout as JSON; warnings and diagnostics go
 to stderr.  ``--scene -`` reads the scene document from stdin, and
 ``scene gen`` writes a bare scene document so commands pipe together.
@@ -146,8 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     find.add_argument("--scene", required=True)
     find.add_argument("--point", required=True)
     find.add_argument("--m", type=int, required=True)
-    find.add_argument("--restarts", type=_count, default=64)
-    find.add_argument("--seed", type=_seed, default=0)
+    ascent = "the plane ascent, run only when the offsets c_i - x leave under m free directions"
+    find.add_argument("--restarts", type=_count, default=64, help=f"restarts of {ascent}")
+    find.add_argument("--seed", type=_seed, default=0, help=f"seed of {ascent}")
     find.add_argument("--tol", type=_tolerance, default=1e-9)
     find.set_defaults(run=_cmd_plane_find)
 

@@ -12,7 +12,7 @@ directions still allowed form a subspace with m orthonormal basis rows B:
 - for a point on the boundary of open balls, the directions orthogonal
   to the touching axes, since a line through x misses a touching open
   ball only when it is tangent to it.  A touching closed ball shadows x
-  trivially.
+  trivially, and a ball centred at x (radius at most tol) leaves no line.
 
 Each is the null space, taken from one SVD, of the axes a candidate line
 must be orthogonal to: none outside the balls, x for tangent lines, and
@@ -156,7 +156,7 @@ def _polar_hull(q: np.ndarray, tol: float) -> tuple[np.ndarray, float] | None:
         norms = np.linalg.norm(y, axis=0)
         j = int(np.argmax(norms))
         return y[:, j] / norms[j], 1.0 / float(norms[j])
-    # imported on first use: scipy.spatial adds about 0.1 s to start-up
+    # imported on first use: scipy.spatial adds about 0.4 s to start-up
     from scipy.spatial import ConvexHull, QhullError
 
     try:
@@ -195,7 +195,11 @@ def _decide(scene: Scene, x: np.ndarray, axes: np.ndarray, tol: float,
         if closed.any():
             return ShadowVerdict(SHADOWED, trivial=True, boundary_index=int(np.argmax(closed)),
                                  method="boundary-closed")
-        axes = np.vstack([axes, v[touch] / dist[touch, None]])
+        d = dist[touch]
+        if not d.all():  # every line through a ball's centre meets it: no line is left
+            return ShadowVerdict(SHADOWED, boundary_index=touching[int(np.argmin(d))],
+                                 method="boundary-pinched")
+        axes = np.vstack([axes, v[touch] / d[:, None]])
         if circle_method == "arc-union":
             circle_method = "boundary-circle"
     basis = _free_directions(axes, scene.dim)
@@ -277,26 +281,33 @@ def find_avoiding_plane(scene: Scene, x, m: int, restarts: int = 64, seed: int =
                         tol: float = TOL) -> PlaneFrame | None:
     """Search for an affine m-plane through x avoiding every ball.
 
-    For lines (m = 1) the exact shadow decision answers directly.
-    Otherwise a seeded multi-start ascent maximizes the worst
-    squared clearance min_i (|v_i|^2 - |proj v_i|^2 - r_i^2) over
-    orthonormal frames; a returned frame is always re-verified (every
-    center farther from the plane than its radius plus tol), and None
-    means no avoiding plane was found, which for the heuristic path is
-    not a proof that none exists.
+    For lines (m = 1) the exact shadow decision answers directly.  For
+    m >= 2, when the offsets v_i = c_i - x leave at least m free
+    directions, the flat through x along m of them is orthogonal to every
+    v_i, so each ball keeps its point clearance |v_i| - r_i, the most any
+    flat through x can give it.  Otherwise, or when that flat fails the
+    re-check, a seeded multi-start ascent (the only user of ``restarts``
+    and ``seed``) maximizes the worst squared clearance
+    min_i (|v_i|^2 - |proj v_i|^2 - r_i^2) over orthonormal frames.  A
+    returned frame is always re-verified (every center farther from the
+    plane than its radius plus tol), and None means no avoiding plane was
+    found, which for the ascent is not a proof that none exists.
     """
     x = as_vector(x, scene.dim)
     n = scene.dim
     if not 1 <= m <= n - 1:
         raise BadDimension(f"plane dimension m must satisfy 1 <= m <= {n - 1}, got {m}")
-    v = _ball_vectors(scene, x, tol)[0]
+    v, dist, clear = _ball_vectors(scene, x, tol)
     if m == 1:
         verdict = point_shadow(scene, x, tol)
         if verdict.verdict == NOT_SHADOWED:
             return PlaneFrame(x, verdict.witness_direction[None, :])
         return None
-    if not len(scene):
-        return PlaneFrame(x, np.eye(m, n))
+    # a point clearance at most tol leaves no flat; a non-finite one is left to the ascent
+    if np.all((tol < clear) & (clear < math.inf)):
+        free = _free_directions(v / dist[:, None], n)
+        if len(free) >= m and scene.clearances(x, free[:m]).min(initial=math.inf) > tol:
+            return PlaneFrame(x, free[:m])
     norm2 = (v * v).sum(axis=1)
     r2 = scene.radii * scene.radii
 

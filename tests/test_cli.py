@@ -134,6 +134,37 @@ def test_plane_find_exact_and_heuristic(octa_file):
     assert blocked.payload["status"] == "indeterminate"
 
 
+def test_plane_find_closed_form_keeps_the_point_clearances(capsys, tmp_path):
+    # two offsets in R^4 leave a free 2-plane, so no ascent runs and the seed is inert
+    doc = {"dim": 4, "balls": [{"center": [3.0, 0.0, 0.0, 0.0], "radius": 1.0},
+                               {"center": [0.0, 3.0, 1.0, 0.0], "radius": 1.5}]}
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(doc))
+    outs = []
+    for seed in ("0", "5"):
+        code = main(["plane", "find", "--scene", str(path), "--point", "0,0,0,0", "--m", "2",
+                     "--seed", seed])
+        assert code == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    payload = json.loads(outs[0])
+    assert payload["found"] is True
+    point = [math.dist(b["center"], [0.0] * 4) - b["radius"] for b in doc["balls"]]
+    assert payload["clearances"] == pytest.approx(point, abs=1e-12)
+
+
+def test_shadow_check_on_a_ball_centred_at_the_point(tmp_path):
+    doc = {"dim": 3, "balls": [{"center": [0.0, 0.0, 0.0], "radius": 1e-10, "topology": "open"},
+                               {"center": [3.0, 0.0, 0.0], "radius": 1.0}]}
+    path = tmp_path / "centred.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("shadow", "check", "--scene", str(path), "--point", "0,0,0")
+    assert (res.returncode, res.stderr) == (0, "")
+    payload = json.loads(res.stdout)
+    assert payload["verdict"] == "shadowed"
+    assert payload["method"] == "boundary-pinched"
+
+
 def test_coordinates_may_start_with_a_minus_sign(lemma_file, octa_file):
     check = dispatch(["shadow", "check", "--scene", lemma_file, "--point", "-1,0.4"])
     assert check.exit_code == 0

@@ -11,6 +11,7 @@ from shadowgeo.constructions import (
     build_lemma,
     random_disjoint_balls,
     random_equal_balls,
+    random_exterior_point,
 )
 from shadowgeo.geometry import (
     CLOSED,
@@ -242,6 +243,23 @@ def test_boundary_three_independent_constraints_pinched():
 
 
 CROSS_4 = np.vstack([np.eye(4), -np.eye(4)])
+
+
+def test_ball_centred_at_the_point_pinches_every_line():
+    # every line through a ball's centre meets it, so no line is left
+    sc = Scene(3, [Ball([0.0, 0.0, 0.0], 1e-10, OPEN), Ball([3.0, 0.0, 0.0], 1.0)])
+    v = point_shadow(sc, [0.0, 0.0, 0.0])
+    assert (v.verdict, v.method, v.boundary_index) == (SHADOWED, "boundary-pinched", 0)
+    sc = Scene(4, [Ball([3.0, 0.0, 0.0, 0.0], 1.0), Ball([0.0, 0.0, 0.0, 0.0], 1e-10, OPEN)])
+    v = point_shadow(sc, [0.0, 0.0, 0.0, 0.0])
+    assert (v.verdict, v.method, v.boundary_index) == (SHADOWED, "boundary-pinched", 1)
+    # a ball of radius at most tol centred at a sphere point pinches its tangent lines
+    sc = Scene(3, [Ball([3.0, 0.0, 0.0], 1.0), Ball([0.0, 0.0, 1.0], 1e-10, OPEN)])
+    v = tangent_shadow(sc, [0.0, 0.0, 1.0])
+    assert (v.verdict, v.method, v.boundary_index) == (SHADOWED, "boundary-pinched", 1)
+    closed = Scene(3, [Ball([0.0, 0.0, 0.0], 1e-10, CLOSED)])
+    v = point_shadow(closed, [0.0, 0.0, 0.0])
+    assert (v.verdict, v.method, v.trivial) == (SHADOWED, "boundary-closed", True)
 
 
 def test_dim4_shells_shadow_the_centre_until_shrunk():
@@ -606,6 +624,88 @@ def test_plane_search_with_overflowing_offsets_returns_none():
 def test_plane_empty_scene_returns_axes():
     frame = find_avoiding_plane(Scene(4, []), [1.0, 2.0, 3.0, 4.0], 2)
     np.testing.assert_array_equal(frame.basis, np.eye(4)[:2])
+
+
+@st.composite
+def closed_form_plane_query(draw):
+    """A disjoint scene in R^3-R^7, a point outside it, and an m the offsets leave free.
+
+    Either k <= n - m balls from ``random_disjoint_balls``, or k > n - m
+    balls centred on one ray from the point, whose offsets have rank 1.
+    """
+    n = draw(st.integers(3, 7))
+    m = draw(st.integers(2, n - 1))
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        sc = random_disjoint_balls(n, draw(st.integers(1, n - m)), seed)
+        return sc, random_exterior_point(sc, seed), m
+    rng = np.random.default_rng(seed)
+    x, u = rng.uniform(-5.0, 5.0, n), unit(rng.standard_normal(n))
+    radii = rng.uniform(0.2, 1.5, draw(st.integers(n - m + 1, n + 3)))
+    # each ball's far side, the balls 0.5 apart and the first 0.5 from x
+    far = np.cumsum(2.0 * radii + 0.5)
+    return Scene(n, [Ball(x + (t - r) * u, r) for t, r in zip(far, radii)]), x, m
+
+
+@given(closed_form_plane_query())
+def test_closed_form_plane_keeps_every_point_clearance(case):
+    # a flat through x is never nearer a ball than x is, so this frame is optimal
+    sc, x, m = case
+    frame = find_avoiding_plane(sc, x, m)
+    assert frame is not None and frame.m == m
+    np.testing.assert_array_equal(frame.point, x)
+    np.testing.assert_allclose(frame.basis @ frame.basis.T, np.eye(m), atol=1e-12)
+    point = sc.clearances(x)
+    slack = 1e-12 * (1.0 + np.linalg.norm(sc.centers - x, axis=1))
+    assert np.all(np.abs(flat_ball_clearances(x, frame.basis, sc.centers, sc.radii) - point)
+                  <= slack)
+    assert np.all(np.abs(sc.clearances(x, frame.basis) - point) <= slack)
+
+
+def closed_form_plane_cases():
+    collinear = Scene(3, [Ball([3.0, 0.0, 0.0], 1.0), Ball([-3.0, 0.0, 0.0], 1.0)])
+    r5 = random_disjoint_balls(5, 3, seed=11)
+    r6 = random_disjoint_balls(6, 2, seed=4)
+    return [(collinear, np.zeros(3), 2), (r5, random_exterior_point(r5, 11), 2),
+            (r6, random_exterior_point(r6, 4), 4)]
+
+
+def test_closed_form_plane_runs_no_ascent(monkeypatch):
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("the ascent ran")
+
+    monkeypatch.setattr(np.linalg, "qr", no_ascent)
+    for sc, x, m in closed_form_plane_cases():
+        frame = find_avoiding_plane(sc, x, m)
+        assert frame is not None
+        assert sc.clearances(x, frame.basis).min() > 1e-9
+
+
+def test_restarts_and_seed_do_not_change_a_closed_form_plane():
+    for sc, x, m in closed_form_plane_cases():
+        ref = find_avoiding_plane(sc, x, m).basis
+        for restarts, seed in ((1, 0), (64, 5), (200, 123)):
+            frame = find_avoiding_plane(sc, x, m, restarts=restarts, seed=seed)
+            np.testing.assert_array_equal(frame.basis, ref)
+
+
+def test_closed_form_plane_failing_the_recheck_falls_through_to_the_ascent(monkeypatch):
+    # the two axes are 3e-5 rad from antiparallel, so _SAME_AXIS merges them;
+    # the flat orthogonal to their mean cuts ball 0, whose clearance at x is 5e-9
+    theta = 3e-5
+    sc = Scene(3, [Ball([100.0, 0.0, 0.0], 100.0 - 5e-9),
+                   Ball([-100.0 * math.cos(theta), -100.0 * math.sin(theta), 0.0], 1.0)])
+    qr_calls = []
+    qr = np.linalg.qr
+
+    def counted_qr(*args, **kwargs):
+        qr_calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    frame = find_avoiding_plane(sc, np.zeros(3), 2, restarts=2)
+    assert qr_calls
+    assert sc.clearances(np.zeros(3), frame.basis).min() > 1e-9
 
 
 def test_plane_frame_validation():
