@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ from .analysis import (
     verify_lemma,
 )
 from .constructions import build_cube14, build_lemma, random_equal_balls
-from .geometry import GeometryError, orthonormal_basis, unit
+from .geometry import TOL, GeometryError, orthonormal_basis, unit
 from .sceneio import SceneFormatError, load_scene_file, scene_to_dict
 from .shadow import INDETERMINATE, PlaneFrame, find_avoiding_plane, point_shadow, tangent_shadow
 from .spherecover import INDETERMINATE as COVER_INDETERMINATE
@@ -137,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         question = shadow_sub.add_parser(name, help=f"is every {lines} blocked?")
         question.add_argument("--scene", required=True)
         question.add_argument("--point", required=True)
-        question.add_argument("--tol", type=_tolerance, default=1e-9)
+        question.add_argument("--tol", type=_tolerance, default=TOL)
         question.set_defaults(run=_cmd_shadow, decide=decide, echo=echo)
 
     plane = sub.add_parser("plane", help="avoiding-plane search")
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     ascent = "the plane ascent, run only when the offsets c_i - x leave under m free directions"
     find.add_argument("--restarts", type=_count, default=64, help=f"restarts of {ascent}")
     find.add_argument("--seed", type=_seed, default=0, help=f"seed of {ascent}")
-    find.add_argument("--tol", type=_tolerance, default=1e-9)
+    find.add_argument("--tol", type=_tolerance, default=TOL)
     find.set_defaults(run=_cmd_plane_find)
 
     scene = sub.add_parser("scene", help="scene generators")
@@ -312,7 +313,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(json.dumps({"status": "error", "message": str(exc)}))
         return 3
-    print(json.dumps(result.payload, indent=2))
+    try:
+        print(json.dumps(result.payload, indent=2), flush=True)
+    except BrokenPipeError:  # the reader has gone: send the flush at exit to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return result.exit_code
 
 

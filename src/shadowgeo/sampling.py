@@ -3,29 +3,22 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
-@lru_cache(maxsize=16)
-def _fibonacci_cached(n: int) -> np.ndarray:
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """n near-uniform points on S^2, deterministic in n."""
+    if n < 1:
+        raise ValueError("need at least one grid point")
+    n = int(n)
     i = np.arange(n, dtype=float)
     z = 1.0 - (2.0 * i + 1.0) / n
     rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     phi = i * GOLDEN_ANGLE
-    pts = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-    pts.setflags(write=False)
-    return pts
-
-
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n near-uniform points on S^2, deterministic in n (read-only array)."""
-    if n < 1:
-        raise ValueError("need at least one grid point")
-    return _fibonacci_cached(int(n))
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
 def _sphere_blocks(n: int, seed: int, dim: int, block: int):

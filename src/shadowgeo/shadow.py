@@ -75,8 +75,7 @@ class ShadowVerdict:
     viewpoint excluded).  ``gap`` is the largest angular gap for the
     circle-based tests.  ``search_margin`` is the polar-hull test's
     dimensionless 1 - max_i |u . q_i| at its best direction u: positive
-    for a witness, at most tol otherwise.  The balls' direction bands are
-    not part of the verdict; ``geometry.ball_band(x, ball)`` gives one.
+    for a witness, at most tol otherwise.
     """
 
     verdict: str
@@ -115,24 +114,24 @@ class PlaneFrame:
         return self.basis.shape[0]
 
 
-def witness_clearance(scene: Scene, x, d, skip: tuple[int, ...] = ()) -> float:
-    """Smallest line-ball clearance over the scene, ignoring ``skip`` indices."""
-    c = scene.clearances(x, d)
-    return float(np.min(np.delete(c, list(skip)) if skip else c, initial=math.inf))
+def witness_clearance(scene: Scene, x, d) -> float:
+    """Smallest clearance of the line x + t d from the scene's balls."""
+    return float(np.min(scene.clearances(x, d), initial=math.inf))
 
 
 def _ball_vectors(scene: Scene, x: np.ndarray, tol: float):
-    """Centre offsets c_i - x, their lengths and the point clearances, as arrays.
+    """Centre offsets c_i - x, their lengths (one per offset) and the point clearances.
 
     x is an already validated vector.  Raises PointInsideBall when x is
     inside some ball by more than tol.
     """
     v = scene.centers - x
-    clear = _offset_clearances(v, scene.radii)
+    dist = np.sqrt((v * v).sum(axis=1))  # np.linalg.norm's sum, bit for bit
+    clear = dist - scene.radii
     inside = clear < -tol
     if inside.any():
         raise PointInsideBall(int(np.argmax(inside)))
-    return v, np.sqrt((v * v).sum(axis=1)), clear  # np.linalg.norm's sum, bit for bit
+    return v, dist, clear
 
 
 def _polar_hull(q: np.ndarray, tol: float) -> tuple[np.ndarray, float] | None:
@@ -181,15 +180,19 @@ def _free_directions(axes: np.ndarray, n: int) -> np.ndarray:
     return vt[int(np.count_nonzero(s > _SAME_AXIS)):]
 
 
-def _decide(scene: Scene, x: np.ndarray, axes: np.ndarray, tol: float,
-            circle_method: str) -> ShadowVerdict:
-    """Shadow decision over the lines through x orthogonal to every row of ``axes``."""
+def _decide(scene: Scene, x: np.ndarray, axes: np.ndarray, tol: float) -> ShadowVerdict:
+    """Shadow decision over the lines through x orthogonal to every row of ``axes``.
+
+    The method label follows from ``axes`` and the touching balls; the
+    witness margin, taken on the offsets formed here, leaves those balls out.
+    """
     if scene.dim < 2:
         raise DimensionUnsupported(f"shadow decisions need dimension 2 or more, not {scene.dim}")
     v, dist, clear = _ball_vectors(scene, x, tol)
     touch = np.abs(clear) <= tol
     touching = np.flatnonzero(touch).tolist() if touch.any() else []
     boundary = touching[0] if touching else None
+    circle = "tangent" if len(axes) else "boundary-circle" if touching else "arc-union"
     if touching:
         closed = touch & scene.closed
         if closed.any():
@@ -200,13 +203,11 @@ def _decide(scene: Scene, x: np.ndarray, axes: np.ndarray, tol: float,
             return ShadowVerdict(SHADOWED, boundary_index=touching[int(np.argmin(d))],
                                  method="boundary-pinched")
         axes = np.vstack([axes, v[touch] / d[:, None]])
-        if circle_method == "arc-union":
-            circle_method = "boundary-circle"
     basis = _free_directions(axes, scene.dim)
     m = len(basis)
     # one free direction and no touching ball: the tangent question in R^2
-    method = {0: "boundary-pinched", 1: "boundary-candidate" if touching else circle_method,
-              2: circle_method}.get(m, "polar-hull")
+    method = {0: "boundary-pinched", 1: "boundary-candidate" if touching else circle,
+              2: circle}.get(m, "polar-hull")
     free = ~touch if touching else slice(None)  # a view, not a masked copy
     # the power |c_i - x|^2 - r_i^2 of x with respect to each free ball
     pw = (dist[free] - scene.radii[free]) * (dist[free] + scene.radii[free])
@@ -236,9 +237,9 @@ def _decide(scene: Scene, x: np.ndarray, axes: np.ndarray, tol: float,
             return ShadowVerdict(SHADOWED, boundary_index=boundary, method=method,
                                  search_margin=search_margin)
     d = u @ basis
+    c = _offset_clearances(v[free], scene.radii[free], d[None, :])
     return ShadowVerdict(NOT_SHADOWED, witness_point=np.array(x, dtype=float),
-                         witness_direction=d,
-                         margin=witness_clearance(scene, x, d, skip=tuple(touching)),
+                         witness_direction=d, margin=float(np.min(c, initial=math.inf)),
                          gap=gap, boundary_index=boundary, method=method,
                          search_margin=search_margin)
 
@@ -250,7 +251,7 @@ def point_shadow(scene: Scene, x, tol: float = TOL) -> ShadowVerdict:
     only the lines tangent to each touching ball.
     """
     x = as_vector(x, scene.dim)
-    return _decide(scene, x, np.empty((0, scene.dim)), tol, "arc-union")
+    return _decide(scene, x, np.empty((0, scene.dim)), tol)
 
 
 def tangent_shadow(scene: Scene, x, tol: float = TOL) -> ShadowVerdict:
@@ -264,7 +265,7 @@ def tangent_shadow(scene: Scene, x, tol: float = TOL) -> ShadowVerdict:
     :func:`point_shadow`.
     """
     x = unit(as_vector(x, scene.dim))
-    return _decide(scene, x, x[None, :], tol, "tangent")
+    return _decide(scene, x, x[None, :], tol)
 
 
 def heuristic_shadow(scene: Scene, x, restarts: int = 64, seed: int = 0,
@@ -297,17 +298,17 @@ def find_avoiding_plane(scene: Scene, x, m: int, restarts: int = 64, seed: int =
     n = scene.dim
     if not 1 <= m <= n - 1:
         raise BadDimension(f"plane dimension m must satisfy 1 <= m <= {n - 1}, got {m}")
-    v, dist, clear = _ball_vectors(scene, x, tol)
     if m == 1:
-        verdict = point_shadow(scene, x, tol)
+        verdict = _decide(scene, x, np.empty((0, n)), tol)
         if verdict.verdict == NOT_SHADOWED:
             return PlaneFrame(x, verdict.witness_direction[None, :])
         return None
+    v, dist, clear = _ball_vectors(scene, x, tol)
     # a point clearance at most tol leaves no flat; a non-finite one is left to the ascent
     if np.all((tol < clear) & (clear < math.inf)):
-        free = _free_directions(v / dist[:, None], n)
-        if len(free) >= m and scene.clearances(x, free[:m]).min(initial=math.inf) > tol:
-            return PlaneFrame(x, free[:m])
+        free = _free_directions(v / dist[:, None], n)[:m]
+        if len(free) == m and _offset_clearances(v, scene.radii, free).min(initial=math.inf) > tol:
+            return PlaneFrame(x, free)
     norm2 = (v * v).sum(axis=1)
     r2 = scene.radii * scene.radii
 
@@ -342,6 +343,6 @@ def find_avoiding_plane(scene: Scene, x, m: int, restarts: int = 64, seed: int =
     if best_w is None:
         return None
     frame = PlaneFrame(x, best_w.T)
-    if scene.clearances(x, frame.basis).min() > tol:
+    if _offset_clearances(v, scene.radii, frame.basis).min() > tol:
         return frame
     return None

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -485,3 +486,18 @@ def test_cli_runs_are_byte_identical():
     v1 = run_cli("verify", "theorem4", "--trials", "3", "--seed", "5")
     v2 = run_cli("verify", "theorem4", "--trials", "3", "--seed", "5")
     assert v1.stdout == v2.stdout
+
+
+def test_output_into_a_closed_pipe_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "shadowgeo", "scene", "gen", "lemma"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in res.stderr
+    assert res.stderr == ""
+    assert res.returncode == 0

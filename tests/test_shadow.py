@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from shadowgeo import shadow as shadow_module
 from shadowgeo.constructions import (
+    boundary_sample,
     build_cube14,
     build_lemma,
     random_disjoint_balls,
@@ -25,7 +27,7 @@ from shadowgeo.geometry import (
     ball_band,
     unit,
 )
-from shadowgeo.sampling import fibonacci_sphere
+from shadowgeo.sampling import fibonacci_sphere, sample_sphere
 from shadowgeo.spherecover import COVERED, INDETERMINATE, CapSet, cover_sphere
 from shadowgeo.shadow import (
     NOT_SHADOWED,
@@ -716,15 +718,85 @@ def test_plane_frame_validation():
     assert distance == pytest.approx(2.0, abs=1e-12)
 
 
-def test_witness_clearance_skips_requested_indices():
-    sc = Scene(2, [Ball([2.0, 0.0], 1.0), Ball([0.0, 5.0], 1.0)])
-    full = witness_clearance(sc, [0.0, 0.0], [1.0, 0.0])
-    assert full == pytest.approx(-1.0)
-    assert witness_clearance(sc, [0.0, 0.0], [1.0, 0.0], skip=(0,)) == pytest.approx(4.0)
-    assert witness_clearance(sc, [0.0, 0.0], [1.0, 0.0], skip=(0, 1)) == math.inf
+def test_decisions_and_planes_read_the_offsets_they_formed(monkeypatch):
+    lemma = build_lemma(1.0).scene
+    cube = build_cube14(OPEN).scene
+    one_ball = Scene(3, [Ball([3.0, 0.0, 0.0], 1.0)])
+    two_balls = Scene(3, [Ball([5.0, 0.0, 0.0], 1.0), Ball([0.0, 5.0, 0.0], 1.0)])
+    qr_calls = []
+    qr = np.linalg.qr
+
+    def counted_qr(*args, **kwargs):
+        qr_calls.append(1)
+        return qr(*args, **kwargs)
+
+    def no_clearances(*args, **kwargs):
+        raise AssertionError("Scene.clearances ran")
+
+    monkeypatch.setattr(Scene, "clearances", no_clearances)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    assert point_shadow(lemma, [10.0, 10.0]).verdict == NOT_SHADOWED
+    assert tangent_shadow(cube, [0.7071, 0.7071, 0.0]).verdict == NOT_SHADOWED
+    assert find_avoiding_plane(cube, np.zeros(3), 1) is not None
+    assert find_avoiding_plane(one_ball, np.zeros(3), 2) is not None
+    assert not qr_calls  # the closed-form flat
+    assert find_avoiding_plane(two_balls, np.zeros(3), 2) is not None
+    assert qr_calls  # the ascent
+
+
+def test_line_plane_forms_the_offsets_once(monkeypatch):
+    calls = []
+    ball_vectors = shadow_module._ball_vectors
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ball_vectors(*args, **kwargs)
+
+    monkeypatch.setattr(shadow_module, "_ball_vectors", counted)
+    assert find_avoiding_plane(build_cube14(OPEN).scene, np.zeros(3), 1) is not None
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------- properties
+
+
+@st.composite
+def margin_query(draw):
+    """A seeded disjoint scene in R^2..R^5 and an exterior, boundary or tangent question.
+
+    Ball 0 is open so that its boundary points ask a question; the others
+    take the drawn topology.
+    """
+    dim = draw(st.integers(2, 5))
+    base = random_disjoint_balls(dim, draw(st.integers(1, 6)), seed=draw(st.integers(0, 10_000)))
+    topology = draw(st.sampled_from([OPEN, CLOSED]))
+    sc = Scene(dim, [Ball(b.center, b.radius, OPEN if i == 0 else topology)
+                     for i, b in enumerate(base.balls)])
+    kind = draw(st.sampled_from(["exterior", "boundary", "tangent"]))
+    seed = draw(st.integers(0, 10_000))
+    if kind == "exterior":
+        return sc, random_exterior_point(sc, seed), point_shadow
+    if kind == "boundary":
+        points = boundary_sample(sc, 0, 1, seed)
+        assume(points)
+        return sc, points[0], point_shadow
+    x = sample_sphere(1, seed, dim)[0]
+    assume(sc.clearances(x).min() > 1e-9)
+    return sc, x, tangent_shadow
+
+
+@given(margin_query())
+def test_witness_margin_is_the_clearance_over_the_balls_not_touching_x(case):
+    sc, x, decide = case
+    v = decide(sc, x)
+    assume(v.verdict == NOT_SHADOWED)
+    x, d = v.witness_point, v.witness_direction
+    far = [b for b, c in zip(sc.balls, sc.clearances(x)) if abs(c) > 1e-9]
+    assert v.margin == witness_clearance(Scene(sc.dim, far), x, d)
+    centers = np.array([b.center for b in far]).reshape(-1, sc.dim)
+    oracle = flat_ball_clearances(x, d[None, :], centers, [b.radius for b in far])
+    slack = 1e-12 * (1.0 + np.max(np.linalg.norm(centers - x, axis=1), initial=0.0))
+    assert v.margin == pytest.approx(np.min(oracle, initial=math.inf), rel=0.0, abs=slack)
 
 
 @st.composite
