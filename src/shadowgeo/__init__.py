@@ -22,15 +22,12 @@ from .geometry import (
     CLOSED,
     OPEN,
     Ball,
-    Band,
     Cap,
     DimensionUnsupported,
     GeometryError,
     PointInsideBall,
     Scene,
-    ball_band,
     ball_sphere_cap,
-    tangent_arcs,
 )
 from .sceneio import dump_scene, load_scene_file, load_scene_text, scene_from_dict, scene_to_dict
 from .shadow import (
@@ -39,7 +36,6 @@ from .shadow import (
     PlaneFrame,
     ShadowVerdict,
     find_avoiding_plane,
-    heuristic_shadow,
     point_shadow,
     tangent_shadow,
 )
@@ -51,7 +47,6 @@ __all__ = [
     "Arc",
     "ArcSet",
     "Ball",
-    "Band",
     "Cap",
     "CapSet",
     "CircleCoverage",
@@ -69,7 +64,6 @@ __all__ = [
     "SHADOWED",
     "SphereCoverage",
     "__version__",
-    "ball_band",
     "ball_sphere_cap",
     "build_cube14",
     "build_lemma",
@@ -78,7 +72,6 @@ __all__ = [
     "dump_scene",
     "falsify",
     "find_avoiding_plane",
-    "heuristic_shadow",
     "load_scene_file",
     "load_scene_text",
     "point_shadow",
@@ -86,6 +79,5 @@ __all__ = [
     "random_equal_balls",
     "scene_from_dict",
     "scene_to_dict",
-    "tangent_arcs",
     "tangent_shadow",
 ]

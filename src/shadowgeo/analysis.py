@@ -303,9 +303,12 @@ class Example2Report:
     uncovered_sample_count: int
     area_samples: int
     tangent_entries: list[dict]
-    failure_points: list[dict]
     tangent_grid: int
     seed: int
+
+    @property
+    def failure_points(self) -> list[dict]:
+        return [e for e in self.tangent_entries if e["verdict"] == NOT_SHADOWED]
 
     def to_dict(self) -> dict:
         cov = self.sphere_coverage
@@ -364,17 +367,13 @@ def analyze_example2(tangent_grid: int = 20000, area_samples: int = 1_000_000,
     pts = fibonacci_sphere(tangent_grid)
     outside = pts[flat_clearances(scene.centers, scene.radii, pts).min(axis=1) > 0.0]
     entries = []
-    failures = []
     for p in outside:
         verdict = tangent_shadow(scene, p)
-        entry = {
+        entries.append({
             "point": [float(c) for c in p],
             "verdict": verdict.verdict,
             "gap": verdict.gap,
-        }
-        entries.append(entry)
-        if verdict.verdict == NOT_SHADOWED:
-            failures.append(entry)
+        })
     return Example2Report(
         tangency=tangency,
         sphere_coverage=coverage,
@@ -383,7 +382,6 @@ def analyze_example2(tangent_grid: int = 20000, area_samples: int = 1_000_000,
         uncovered_sample_count=sample_count,
         area_samples=area_samples,
         tangent_entries=entries,
-        failure_points=failures,
         tangent_grid=tangent_grid,
         seed=seed,
     )

